@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "check/case.h"
+#include "harness/cli.h"
 #include "harness/runner.h"
 #include "obs/timeline.h"
 
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   bool seed_set = false;
   std::uint64_t epochs = 0;
   std::uint64_t partitions = 0;
-  std::vector<rfh::FailureEvent> failures;
+  std::vector<std::string> kills;
   bool why_mode = false;
   bool storm_mode = false;
   std::uint64_t why_partition = 0;
@@ -114,17 +115,7 @@ int main(int argc, char** argv) {
         return usage("--partitions expects a positive integer");
       }
     } else if (consume(arg, "--kill=", value)) {
-      const std::size_t at = value.find('@');
-      std::uint64_t n = 0;
-      std::uint64_t epoch = 0;
-      if (at == std::string::npos || !parse_u64(value.substr(0, at), n) ||
-          !parse_u64(value.substr(at + 1), epoch) || n == 0) {
-        return usage("--kill expects N@E with positive N");
-      }
-      rfh::FailureEvent event;
-      event.kill_random = static_cast<std::uint32_t>(n);
-      event.epoch = static_cast<rfh::Epoch>(epoch);
-      failures.push_back(event);
+      kills.push_back(value);  // checked once the scenario is assembled
     } else if (std::strcmp(arg, "--why") == 0) {
       why_mode = true;
     } else if (std::strcmp(arg, "--storm") == 0) {
@@ -167,7 +158,7 @@ int main(int argc, char** argv) {
       return usage(("--fault-plan: " + plan.error).c_str());
     }
     // --kill alone replaces the built-in drill instead of stacking on it.
-    if (!plan_path.empty() || failures.empty()) {
+    if (!plan_path.empty() || kills.empty()) {
       scenario.fault_plan = std::move(plan.plan);
     }
   }
@@ -184,6 +175,9 @@ int main(int argc, char** argv) {
     if (!parsed.ok) return usage(("--slo: " + parsed.error).c_str());
     scenario.slo = parsed.spec;
   }
+  std::vector<rfh::FailureEvent> failures;
+  const std::string kill_error = rfh::parse_kills(kills, scenario, failures);
+  if (!kill_error.empty()) return usage(kill_error.c_str());
 
   // --- fly the scenario with the recorder attached ----------------------
   rfh::TimelineStore store(scenario.sim.partitions);

@@ -4,7 +4,6 @@
 
 #include "common/availability.h"
 #include "core/selection.h"
-#include "exec/parallel_for.h"
 #include "telemetry/registry.h"
 
 namespace rfh {
@@ -177,49 +176,11 @@ Actions RfhPolicy::decide(const PolicyContext& ctx) {
     cold_streak_.resize(ctx.config.partitions);
   }
 
-  // The kRandom placement draws from ctx.rng once per decided partition,
-  // so its decision sequence *is* the RNG stream order — that ablation
-  // stays serial. Every other placement is a pure function of per-
-  // partition state, so the scan shards cleanly.
-  ThreadPool* pool =
-      options_.placement == Options::Placement::kRandom ? nullptr : ctx.pool;
-
-  const std::size_t n = ctx.config.partitions;
-  const unsigned shards = shard_count_for(pool, n, /*min_grain=*/64);
-  std::vector<Actions> shard_actions(shards);
-  parallel_for_shards(
-      pool, n, shards, [&](unsigned s, IndexRange range) {
-        Actions& out = shard_actions[s];
-        for (std::size_t pv = range.begin; pv < range.end; ++pv) {
-          decide_partition(ctx, PartitionId{static_cast<std::uint32_t>(pv)},
-                           rmin, out);
-        }
-      });
-
-  // Shard ranges concatenate to the serial partition order, so appending
-  // each shard's actions in shard-index order reproduces the serial
-  // action list exactly.
-  Actions actions = std::move(shard_actions.front());
-  for (std::size_t s = 1; s < shard_actions.size(); ++s) {
-    Actions& part = shard_actions[s];
-    actions.replications.insert(actions.replications.end(),
-                                part.replications.begin(),
-                                part.replications.end());
-    actions.migrations.insert(actions.migrations.end(),
-                              part.migrations.begin(), part.migrations.end());
-    actions.suicides.insert(actions.suicides.end(), part.suicides.begin(),
-                            part.suicides.end());
-  }
-  if (decide_calls_ != nullptr) count_actions(actions);
-  return actions;
-}
-
-void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
-                                 std::uint32_t rmin, Actions& actions) {
-  {
-    const std::uint32_t pv = p.value();
+  Actions actions;
+  for (std::uint32_t pv = 0; pv < ctx.config.partitions; ++pv) {
+    const PartitionId p{pv};
     const ServerId primary = ctx.cluster.primary_of(p);
-    if (!primary.valid()) return;
+    if (!primary.valid()) continue;
 
     const double q_bar = ctx.stats.avg_query(p);
     const std::uint32_t r = ctx.cluster.replica_count(p);
@@ -244,7 +205,7 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
         why.threshold = static_cast<double>(rmin);
         actions.replications.push_back(ReplicateAction{p, target, why});
       }
-      return;  // grow back to the floor before optimizing anything else
+      continue;  // grow back to the floor before optimizing anything else
     }
 
     // --- 2. Overload relief (Eqs. 12-13, 16) ----------------------------
@@ -384,6 +345,8 @@ void RfhPolicy::decide_partition(const PolicyContext& ctx, PartitionId p,
       }
     }
   }
+  if (decide_calls_ != nullptr) count_actions(actions);
+  return actions;
 }
 
 }  // namespace rfh

@@ -89,14 +89,6 @@ class RfhPolicy final : public ReplicationPolicy {
       const PolicyContext& ctx, PartitionId p, double gamma_threshold,
       bool require_gamma) const;
 
-  /// Run the Fig. 2 decision tree for one partition, appending into
-  /// `out`. Touches only [p]-indexed policy state (overload/cold
-  /// streaks), so the decide scan shards partitions across a pool with
-  /// each shard appending to its own Actions — concatenated in shard
-  /// order, the result is byte-identical to the serial scan.
-  void decide_partition(const PolicyContext& ctx, PartitionId p,
-                        std::uint32_t rmin, Actions& out);
-
   /// Pick the target server for a new copy of p according to the
   /// configured placement; invalid if nothing is feasible.
   [[nodiscard]] ServerId pick_target(
@@ -116,9 +108,8 @@ class RfhPolicy final : public ReplicationPolicy {
   std::array<Counter*, kDecisionRuleCount> rule_fired_{};
   /// Consecutive epochs each partition's holder has been overloaded.
   std::vector<std::uint32_t> overload_streak_;
-  /// Consecutive epochs a copy has been cold. Kept per partition (sorted
-  /// by server id) so the sharded decide scan mutates only shard-owned
-  /// rows.
+  /// Consecutive epochs a copy has been cold, per partition (sorted by
+  /// server id).
   struct ColdStreak {
     std::uint32_t server = 0;
     std::uint32_t epochs = 0;

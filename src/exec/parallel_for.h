@@ -17,8 +17,8 @@
 // every shard count and every interleaving.
 //
 // Cooperative waiting: the join uses ThreadPool::wait, which executes
-// pending pool tasks on the waiting thread. A parallel_for issued from
-// inside a sweep cell (itself a pool task) therefore helps drain the pool
+// pending pool tasks on the waiting thread. A fan-out issued from inside
+// a sweep cell (itself a pool task) therefore helps drain the pool
 // instead of deadlocking it, and never spawns threads of its own.
 #pragma once
 
@@ -49,13 +49,17 @@ struct IndexRange {
   return {begin, begin + q + (s < r ? 1 : 0)};
 }
 
-/// Shard count for fanning `n` items across `pool`: one shard per worker
-/// (null or inline pool -> 1), capped so every shard keeps at least
-/// `min_grain` items. Callers that need shard-count *stability* across
-/// machines should pass an explicit count to parallel_for_shards instead;
-/// the engine does not need to — its merges are shard-count invariant.
-[[nodiscard]] unsigned shard_count_for(const ThreadPool* pool, std::size_t n,
-                                       std::size_t min_grain = 1) noexcept;
+/// Shard count for fanning `n` items across `pool`: one shard per worker,
+/// capped at `n` (null or inline pool -> 1). Callers that need
+/// shard-count *stability* across machines should pass an explicit count
+/// to parallel_for_shards instead; the engine does not need to — its
+/// merge is shard-count invariant.
+[[nodiscard]] inline unsigned shard_count_for(const ThreadPool* pool,
+                                              std::size_t n) noexcept {
+  const unsigned workers = pool == nullptr ? 0 : pool->size();
+  if (workers <= 1 || n == 0) return 1;
+  return static_cast<unsigned>(std::min<std::size_t>(workers, n));
+}
 
 /// Run body(shard, range) for every shard of [0, n). Blocks until all
 /// shards complete, even when one throws (the first shard's exception, in
@@ -88,18 +92,6 @@ void parallel_for_shards(ThreadPool* pool, std::size_t n, unsigned shards,
     }
   }
   if (first) std::rethrow_exception(first);
-}
-
-/// Convenience wrapper: body(i) per index, shard count picked from the
-/// pool. Only for bodies whose writes are disjoint per index.
-template <typename Body>
-void parallel_for(ThreadPool* pool, std::size_t n, Body&& body) {
-  parallel_for_shards(pool, n, shard_count_for(pool, n),
-                      [&body](unsigned /*shard*/, IndexRange range) {
-                        for (std::size_t i = range.begin; i < range.end; ++i) {
-                          body(i);
-                        }
-                      });
 }
 
 }  // namespace rfh

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <map>
 
 namespace rfh {
@@ -28,6 +29,37 @@ bool parse_double(const std::string& text, double& out) {
 }
 
 }  // namespace
+
+std::string parse_kills(std::span<const std::string> values,
+                        const Scenario& scenario,
+                        std::vector<FailureEvent>& failures) {
+  const std::uint64_t servers =
+      build_paper_world(scenario.world).topology.server_count();
+  std::uint64_t total = 0;
+  for (const std::string& value : values) {
+    const std::size_t at = value.find('@');
+    std::uint64_t n = 0;
+    std::uint64_t epoch = 0;
+    if (at == std::string::npos || !parse_u64(value.substr(0, at), n) ||
+        !parse_u64(value.substr(at + 1), epoch) || n == 0 ||
+        epoch > std::numeric_limits<Epoch>::max()) {
+      return "--kill expects N@E with positive N";
+    }
+    // total < servers holds here, so this compares without overflow.
+    if (n >= servers - total) {
+      return "--kill=" + value + ": the --kill counts reach the world's " +
+             std::to_string(servers) + " servers; at most " +
+             std::to_string(servers - 1) +
+             " may die, because the engine keeps one server alive";
+    }
+    total += n;
+    FailureEvent event;
+    event.kill_random = static_cast<std::uint32_t>(n);
+    event.epoch = static_cast<Epoch>(epoch);
+    failures.push_back(event);
+  }
+  return {};
+}
 
 std::vector<std::string> metric_names() {
   return {"utilization", "replicas", "path",   "imbalance", "latency",
@@ -75,6 +107,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
   std::map<std::string, std::string> seen;
   // Last stream-layer flag encountered, for the workload=stream check.
   const char* stream_flag = nullptr;
+  std::vector<std::string> kills;
   // Whether --jobs appeared: single-policy runs thread the engine only on
   // explicit request (the default stays serial), while --compare always
   // consults options.jobs for its policy pool.
@@ -142,18 +175,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
       options.scenario.write_fraction = fraction;
     } else if (consume(arg, "--kill=", value)) {
-      const std::size_t at = value.find('@');
-      std::uint64_t n = 0;
-      std::uint64_t epoch = 0;
-      if (at == std::string::npos ||
-          !parse_u64(value.substr(0, at), n) ||
-          !parse_u64(value.substr(at + 1), epoch) || n == 0) {
-        return fail("--kill expects N@E with positive N");
-      }
-      FailureEvent event;
-      event.kill_random = static_cast<std::uint32_t>(n);
-      event.epoch = static_cast<Epoch>(epoch);
-      options.failures.push_back(event);
+      kills.push_back(value);  // checked once the world is known
     } else if (consume(arg, "--jobs=", value)) {
       jobs_seen = true;
       if (value == "auto") {
@@ -312,8 +334,13 @@ CliParseResult parse_cli(std::span<const char* const> args) {
     return fail(std::string(stream_flag) +
                 " only applies to --workload=stream");
   }
+  if (!kills.empty()) {
+    const std::string error =
+        parse_kills(kills, options.scenario, options.failures);
+    if (!error.empty()) return fail(error);
+  }
   if (jobs_seen && !options.compare) {
-    // Single-policy runs shard the epoch phases themselves. Under
+    // Single-policy runs shard their own flow propagation. Under
     // --compare the pool parallelises across policies instead and each
     // engine stays serial, so the two modes never nest thread pools.
     options.scenario.engine_jobs = options.jobs;

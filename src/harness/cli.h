@@ -22,14 +22,16 @@
 //   --service-cv=F                (stream only: service-time coefficient
 //                                  of variation for the M/G/c wait
 //                                  correction; F >= 0, 1 = exponential)
-//   --kill=N@E                    (repeatable: kill N random servers at E)
+//   --kill=N@E                    (repeatable: kill N random servers at E;
+//                                  the counts must sum below the world's
+//                                  server count)
 //   --metric=<name>               (see metric_names())
 //   --compare                     (all four policies)
 //   --jobs=N|auto                 (worker threads; auto = one per hardware
 //                                  thread, 1 = serial. With --compare the
 //                                  pool runs policies concurrently; on a
 //                                  single-policy run it shards the engine's
-//                                  epoch phases (Simulation::set_jobs).
+//                                  flow propagation (Simulation::set_jobs).
 //                                  Results are bit-identical for every N)
 //
 // Malformed input never asserts or silently clamps: out-of-range values
@@ -82,7 +84,7 @@ struct CliOptions {
   bool compare = false;
   /// Worker threads for --compare sweeps (exec/sweep.h semantics:
   /// 0 = hardware, 1 = serial). On single-policy runs an explicit --jobs
-  /// lands in scenario.engine_jobs instead, sharding the epoch phases.
+  /// lands in scenario.engine_jobs instead, sharding flow propagation.
   /// Purely a scheduling knob — outputs are bit-identical for every value.
   unsigned jobs = 0;
   bool quiet = false;
@@ -118,6 +120,16 @@ struct CliParseResult {
 /// Parse the argument list (argv[1..]); never aborts — malformed input
 /// yields ok=false with a human-readable error.
 CliParseResult parse_cli(std::span<const char* const> args);
+
+/// Parse the repeatable --kill=N@E values (rfh_cli and rfh_blackbox) into
+/// `failures`, checked against the world `scenario` builds. The engine
+/// never kills its last live server, so the summed N must stay below the
+/// world's server count; N is checked at full width, before it is
+/// narrowed to FailureEvent::kill_random, so a value that would wrap is
+/// refused too. Returns the reason on rejection, else an empty string.
+std::string parse_kills(std::span<const std::string> values,
+                        const Scenario& scenario,
+                        std::vector<FailureEvent>& failures);
 
 /// Extract the named per-epoch metric; sets *ok=false (and returns 0) for
 /// an unknown name.

@@ -4,36 +4,12 @@
 #include "ring/hash.h"
 #include "ring/rendezvous.h"
 #include "ring/ring.h"
-#include "telemetry/registry.h"
 
 namespace rfh {
 
 Router::Router(const Topology& topology, const ShortestPaths& paths)
     : topology_(&topology), paths_(&paths) {
   RFH_ASSERT(topology.datacenter_count() == paths.size());
-}
-
-void Router::set_telemetry(MetricRegistry* registry) {
-  if (registry == nullptr) {
-    routes_ = nullptr;
-    stages_ = nullptr;
-    dead_skips_ = nullptr;
-    memo_hit_counter_ = nullptr;
-    memo_miss_counter_ = nullptr;
-    return;
-  }
-  routes_ = &registry->counter("rfh_router_routes_total", {},
-                               "Routes computed");
-  stages_ = &registry->counter("rfh_router_route_stages_total", {},
-                               "Datacenter stages across all routes");
-  dead_skips_ = &registry->counter(
-      "rfh_router_dead_dc_skips_total", {},
-      "Transit datacenters skipped because no server was alive");
-  memo_hit_counter_ = &registry->counter(
-      "rfh_router_memo_hits_total", {}, "route() calls served from the memo");
-  memo_miss_counter_ = &registry->counter(
-      "rfh_router_memo_misses_total", {},
-      "route() calls that recomputed (cold, invalidated or holder moved)");
 }
 
 void Router::set_memo_enabled(bool enabled) {
@@ -146,15 +122,15 @@ const Route& Router::route(
       entry->stamp = stamp_;
       entry->partition_stamp = partition_stamps_[partition.value()];
     }
-    ++ctx.memo_misses;
+    ++ctx.counts.memo_misses;
   } else {
-    ++ctx.memo_hits;
+    ++ctx.counts.memo_hits;
   }
-  // Telemetry is replayed identically for hits and misses, so counter
-  // totals are bit-identical with the memo on or off.
-  ctx.dead_skips += entry->dead_skips;
-  ++ctx.routes;
-  ctx.stages += entry->route.stages.size();
+  // Counted identically for hits and misses, so the route/stage/skip
+  // totals are the same with the memo on or off.
+  ctx.counts.dead_skips += entry->dead_skips;
+  ++ctx.counts.routes;
+  ctx.counts.stages += entry->route.stages.size();
   return entry->route;
 }
 
@@ -168,28 +144,18 @@ const Route& Router::route(
 }
 
 void Router::flush_counts(RouteCtx& ctx) const {
-  memo_hits_ += ctx.memo_hits;
-  memo_misses_ += ctx.memo_misses;
-  // Counters hold integer-valued doubles; batching shard tallies into one
-  // inc() is exact below 2^53, so totals match the per-route serial incs.
-  if (memo_hit_counter_ != nullptr && ctx.memo_hits > 0) {
-    memo_hit_counter_->inc(static_cast<double>(ctx.memo_hits));
-  }
-  if (memo_miss_counter_ != nullptr && ctx.memo_misses > 0) {
-    memo_miss_counter_->inc(static_cast<double>(ctx.memo_misses));
-  }
-  if (dead_skips_ != nullptr && ctx.dead_skips > 0) {
-    dead_skips_->inc(static_cast<double>(ctx.dead_skips));
-  }
-  if (routes_ != nullptr && ctx.routes > 0) {
-    routes_->inc(static_cast<double>(ctx.routes));
-    stages_->inc(static_cast<double>(ctx.stages));
-  }
-  ctx.memo_hits = 0;
-  ctx.memo_misses = 0;
-  ctx.routes = 0;
-  ctx.stages = 0;
-  ctx.dead_skips = 0;
+  counts_.routes += ctx.counts.routes;
+  counts_.stages += ctx.counts.stages;
+  counts_.dead_skips += ctx.counts.dead_skips;
+  counts_.memo_hits += ctx.counts.memo_hits;
+  counts_.memo_misses += ctx.counts.memo_misses;
+  ctx.counts = RouteCounts{};
+}
+
+RouteCounts Router::take_counts() const {
+  const RouteCounts counts = counts_;
+  counts_ = RouteCounts{};
+  return counts;
 }
 
 }  // namespace rfh

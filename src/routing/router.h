@@ -24,11 +24,13 @@
 // stale-primary hazards cannot serve a wrong route even if an
 // invalidation hook is missed.
 //
-// Counters: the serial route() maintains the memo hit/miss totals and
-// telemetry counters directly. The RouteCtx overload accumulates them
-// per shard instead; the engine flushes contexts in shard-index order
-// after the join, which reproduces the serial totals exactly (integer
-// counts in doubles are order-invariant below 2^53).
+// Counts: every route() tallies into a RouteCtx — a per-shard one for
+// the sharded propagate pass, a router-owned one for the serial overload.
+// flush_counts folds contexts into the router's running RouteCounts, and
+// take_counts hands that total to the engine once per epoch (it lands in
+// EpochReport::routing, and from there in the rfh_router_* metrics).
+// Integer sums are order-invariant, so the totals match for every shard
+// count.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +42,6 @@
 #include "topology/topology.h"
 
 namespace rfh {
-
-class Counter;
-class MetricRegistry;
 
 /// One datacenter visited by a query, in order.
 struct RouteStage {
@@ -66,6 +65,18 @@ struct Route {
   double total_latency_ms = 0.0;
 };
 
+/// Routing tallies over some span of route() calls.
+struct RouteCounts {
+  std::uint64_t routes = 0;
+  /// Datacenter stages across all routes.
+  std::uint64_t stages = 0;
+  /// Transit datacenters skipped because no server was alive.
+  std::uint64_t dead_skips = 0;
+  std::uint64_t memo_hits = 0;
+  /// Recomputed routes (cold, invalidated or holder moved).
+  std::uint64_t memo_misses = 0;
+};
+
 /// Latency model constants (see DESIGN.md): 2 ms switching cost per hop,
 /// ~200 km of fibre per millisecond of propagation.
 inline constexpr double kHopLatencyMs = 2.0;
@@ -75,11 +86,10 @@ class Router {
  public:
   Router(const Topology& topology, const ShortestPaths& paths);
 
-  /// Per-shard routing context: local hit/miss/telemetry tallies plus the
-  /// result slot used when the memo is off. References returned by the
-  /// ctx overload stay valid until the next route() call with the same
-  /// ctx (or an invalidation). Flush contexts in shard-index order via
-  /// flush_counts().
+  /// Per-shard routing context: local tallies plus the result slot used
+  /// when the memo is off. References returned by the ctx overload stay
+  /// valid until the next route() call with the same ctx (or an
+  /// invalidation). Fold contexts into the router via flush_counts().
   struct RouteCtx;
 
   /// Compute the route for queries from `requester` to the primary copy on
@@ -94,17 +104,20 @@ class Router {
       PartitionId partition, DatacenterId requester, ServerId holder,
       std::span<const std::vector<ServerId>> live_by_dc) const;
 
-  /// Concurrent variant: identical routing, but all counter traffic lands
-  /// in `ctx`. Callers running shards concurrently must (a) pre-size the
+  /// Concurrent variant: identical routing, but the tallies land in
+  /// `ctx`. Callers running shards concurrently must (a) pre-size the
   /// memo with reserve_memo() and (b) never route the same partition from
   /// two shards.
   [[nodiscard]] const Route& route(
       PartitionId partition, DatacenterId requester, ServerId holder,
       std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const;
 
-  /// Fold a context's tallies into the router totals and telemetry
-  /// counters, then zero them. Call once per shard, in shard-index order.
+  /// Fold a context's tallies into the router's running counts, then
+  /// zero them.
   void flush_counts(RouteCtx& ctx) const;
+
+  /// The counts folded in since the last take_counts(); resets them.
+  [[nodiscard]] RouteCounts take_counts() const;
 
   /// Pre-size the memo for `partitions` rows so concurrent shards never
   /// grow the outer table. Idempotent; rows themselves are allocated on
@@ -126,15 +139,6 @@ class Router {
   void invalidate_routes();
   /// Drop the memoized routes of one partition (placement mutation).
   void invalidate_routes_for(PartitionId partition);
-  [[nodiscard]] std::uint64_t memo_hits() const noexcept { return memo_hits_; }
-  [[nodiscard]] std::uint64_t memo_misses() const noexcept {
-    return memo_misses_;
-  }
-
-  /// Export route/stage/dead-skip/memo counters into `registry`
-  /// (rfh_router_*). nullptr detaches. Counting is observational only;
-  /// route() stays deterministic either way.
-  void set_telemetry(MetricRegistry* registry);
 
  private:
   struct MemoEntry {
@@ -143,19 +147,15 @@ class Router {
     std::uint64_t stamp = 0;
     std::uint64_t partition_stamp = 0;
     ServerId holder;  // the primary the route was computed for
-    /// Dead datacenters skipped while computing (replayed into telemetry
-    /// on hits so counter totals are memo-invariant).
+    /// Dead datacenters skipped while computing (replayed into the
+    /// counts on hits so totals are memo-invariant).
     std::uint32_t dead_skips = 0;
     Route route;
   };
 
  public:
   struct RouteCtx {
-    std::uint64_t memo_hits = 0;
-    std::uint64_t memo_misses = 0;
-    std::uint64_t routes = 0;
-    std::uint64_t stages = 0;
-    std::uint64_t dead_skips = 0;
+    RouteCounts counts;
     /// Result slot for memo-off routing (per-context so shards never
     /// share it).
     MemoEntry scratch;
@@ -180,14 +180,7 @@ class Router {
   mutable std::uint64_t stamp_ = 1;
   /// Context backing the serial route() overload.
   mutable RouteCtx serial_ctx_;
-  mutable std::uint64_t memo_hits_ = 0;
-  mutable std::uint64_t memo_misses_ = 0;
-  // Registry-owned counters (not ours); null when telemetry is detached.
-  Counter* routes_ = nullptr;
-  Counter* stages_ = nullptr;
-  Counter* dead_skips_ = nullptr;
-  Counter* memo_hit_counter_ = nullptr;
-  Counter* memo_miss_counter_ = nullptr;
+  mutable RouteCounts counts_;
 };
 
 }  // namespace rfh

@@ -203,10 +203,9 @@ void Simulation::propagate(const QueryBatch& batch) {
 
   // Serial pre-pass, in flow order: the query tallies (one of which —
   // total_queries — is a single scalar whose FP association order must
-  // match the serial engine exactly), the count of consecutive
+  // match the serial engine exactly), the table of consecutive
   // same-partition runs, and the partition-major check.
-  epoch_arena_.reset();
-  std::size_t n_runs = 0;
+  runs_.clear();
   bool partition_major = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const QueryFlow& flow = batch[i];
@@ -214,24 +213,18 @@ void Simulation::propagate(const QueryBatch& batch) {
     traffic_.partition_queries_mut(flow.partition) += flow.queries;
     traffic_.requester_queries_mut(flow.partition, flow.requester) +=
         flow.queries;
-    if (i == 0 || flow.partition != batch[i - 1].partition) ++n_runs;
+    const auto index = static_cast<std::uint32_t>(i);
+    if (i == 0 || flow.partition != batch[i - 1].partition) {
+      runs_.push_back(FlowRun{flow.partition.value(), index, index + 1});
+    } else {
+      runs_.back().end = index + 1;
+    }
     if (i > 0 && flow.partition.value() < batch[i - 1].partition.value()) {
       partition_major = false;
     }
   }
   if (batch.empty()) return;
-
-  const std::span<FlowRun> runs = epoch_arena_.alloc<FlowRun>(n_runs);
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i == 0 || batch[i].partition != batch[i - 1].partition) {
-      runs[r++] = FlowRun{batch[i].partition.value(),
-                          static_cast<std::uint32_t>(i),
-                          static_cast<std::uint32_t>(i + 1)};
-    } else {
-      runs[r - 1].end = static_cast<std::uint32_t>(i + 1);
-    }
-  }
+  const std::size_t n_runs = runs_.size();
 
   // Fan the runs across shards only for partition-major batches (every
   // built-in generator emits them sorted), where each partition's flows
@@ -239,8 +232,7 @@ void Simulation::propagate(const QueryBatch& batch) {
   // traffic state and memo rows are private to it. Arbitrary test batches
   // take the same code path with a single shard.
   const unsigned shards =
-      partition_major ? shard_count_for(pool_.get(), n_runs, /*min_grain=*/1)
-                      : 1;
+      partition_major ? shard_count_for(pool_.get(), n_runs) : 1;
   if (shards_.size() < shards) shards_.resize(shards);
   for (unsigned s = 0; s < shards; ++s) shards_[s].begin_epoch();
 
@@ -248,7 +240,7 @@ void Simulation::propagate(const QueryBatch& batch) {
       pool_.get(), n_runs, shards, [&](unsigned s, IndexRange range) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
-          const FlowRun& run = runs[ri];
+          const FlowRun& run = runs_[ri];
           for (std::uint32_t f = run.begin; f < run.end; ++f) {
             propagate_flow(batch[f], live_by_dc, shard);
           }
@@ -258,8 +250,9 @@ void Simulation::propagate(const QueryBatch& batch) {
   // Shard-order merge: shard ranges concatenate to the serial iteration
   // order, so replaying each shard's deferred writes in shard-index order
   // reproduces the serial write sequence — and therefore the global
-  // accumulators, histogram, flow log and router counters — bit for bit,
-  // for every shard count and jobs value.
+  // accumulators, histogram and flow log — bit for bit, for every shard
+  // count and jobs value. Router counts are integer sums, exact in any
+  // order.
   for (unsigned s = 0; s < shards; ++s) {
     PropagateShard& shard = shards_[s];
     for (const PathDelta& d : shard.samples) {
@@ -506,10 +499,11 @@ EpochReport Simulation::step() {
   {
     const ScopedTimer timer(profiler_, Phase::kRouting);
     propagate(batch);
+    report.routing = router_.take_counts();
   }
   {
     const ScopedTimer timer(profiler_, Phase::kStatsUpdate);
-    stats_.update(traffic_, pool_.get());
+    stats_.update(traffic_);
     if (events_.enabled()) emit_traffic_shifts();
 
     report.total_queries = traffic_.total_queries();
@@ -528,9 +522,8 @@ EpochReport Simulation::step() {
   Actions actions;
   {
     const ScopedTimer timer(profiler_, Phase::kPolicyDecide);
-    PolicyContext ctx{world_.topology, paths_,      cluster_,
-                      stats_,          traffic_,    config_,
-                      epoch_,          rng_policy_, pool_.get()};
+    PolicyContext ctx{world_.topology, paths_,   cluster_, stats_,
+                      traffic_,        config_,  epoch_,   rng_policy_};
     actions = policy_->decide(ctx);
   }
   {
@@ -559,13 +552,26 @@ EpochReport Simulation::step() {
 
 void Simulation::set_telemetry(MetricRegistry* registry) {
   telemetry_ = registry;
-  router_.set_telemetry(registry);
-  policy_->set_telemetry(registry);
   if (registry == nullptr) {
     tel_ = TelemetryHandles{};
+    policy_->set_telemetry(nullptr);
     return;
   }
   MetricRegistry& reg = *registry;
+  // Router metrics register first and the policy's next, keeping the
+  // registry's family order (and so its exports) stable.
+  tel_.routes = &reg.counter("rfh_router_routes_total", {}, "Routes computed");
+  tel_.route_stages = &reg.counter("rfh_router_route_stages_total", {},
+                                   "Datacenter stages across all routes");
+  tel_.dead_dc_skips = &reg.counter(
+      "rfh_router_dead_dc_skips_total", {},
+      "Transit datacenters skipped because no server was alive");
+  tel_.memo_hits = &reg.counter("rfh_router_memo_hits_total", {},
+                                "route() calls served from the memo");
+  tel_.memo_misses = &reg.counter(
+      "rfh_router_memo_misses_total", {},
+      "route() calls that recomputed (cold, invalidated or holder moved)");
+  policy_->set_telemetry(registry);
   tel_.queries = &reg.counter("rfh_queries_total", {},
                               "Queries offered to the cluster");
   tel_.unserved = &reg.counter("rfh_unserved_queries_total", {},
@@ -600,6 +606,11 @@ void Simulation::set_telemetry(MetricRegistry* registry) {
 }
 
 void Simulation::update_telemetry(const EpochReport& report) {
+  tel_.routes->inc(static_cast<double>(report.routing.routes));
+  tel_.route_stages->inc(static_cast<double>(report.routing.stages));
+  tel_.dead_dc_skips->inc(static_cast<double>(report.routing.dead_skips));
+  tel_.memo_hits->inc(static_cast<double>(report.routing.memo_hits));
+  tel_.memo_misses->inc(static_cast<double>(report.routing.memo_misses));
   tel_.queries->inc(report.total_queries);
   tel_.unserved->inc(report.unserved_queries);
   tel_.applied[static_cast<std::size_t>(ActionKind::kReplicate)]->inc(

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/arena.h"
 #include "exec/thread_pool.h"
 #include "obs/event_bus.h"
 #include "telemetry/profiler.h"
@@ -87,6 +86,8 @@ struct EpochReport {
   double replication_cost = 0.0;
   double migration_cost = 0.0;
   std::uint32_t total_replicas = 0;  // copies across partitions, primaries included
+  /// The router's tallies for this epoch's flows (rfh_router_* metrics).
+  RouteCounts routing{};
 };
 
 class Simulation {
@@ -144,12 +145,12 @@ class Simulation {
                                                   DatacenterId b) const;
 
   // --- intra-epoch parallelism ------------------------------------------
-  /// Fan the shardable epoch phases (flow propagation, the stats fold,
-  /// the policy's per-partition scan) across `jobs` threads: 0 = one per
-  /// hardware thread, 1 (the default) = serial, no pool. Every value of
-  /// `jobs` produces byte-identical simulations — shards own disjoint
-  /// partition ranges and their outputs are merged in shard-index order
-  /// (DESIGN.md §15) — so this is purely a wall-clock knob.
+  /// Shard flow propagation across `jobs` threads: 0 = one per hardware
+  /// thread, 1 (the default) = serial, no pool. The stats fold and the
+  /// policy scan always run serially. Every value of `jobs` produces
+  /// byte-identical simulations — shards own disjoint partition ranges
+  /// and their outputs are merged in shard-index order (DESIGN.md §15) —
+  /// so this is purely a wall-clock knob.
   void set_jobs(unsigned jobs);
   /// Effective worker count (1 when serial).
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
@@ -204,10 +205,10 @@ class Simulation {
 
   /// Attach a metric registry: the engine resolves its counter/gauge
   /// handles once (see DESIGN.md for the metric names) and bumps them at
-  /// the end of every step; the router and policy receive the registry
-  /// too. nullptr detaches. Counters are updated from the same
-  /// EpochReport fields the trace events carry, so registry totals,
-  /// CounterSink totals and report sums always reconcile.
+  /// the end of every step; the policy receives the registry too.
+  /// nullptr detaches. Counters are updated from the same EpochReport
+  /// fields the trace events carry, so registry totals, CounterSink
+  /// totals and report sums always reconcile.
   void set_telemetry(MetricRegistry* registry);
   [[nodiscard]] MetricRegistry* telemetry() const noexcept {
     return telemetry_;
@@ -340,6 +341,11 @@ class Simulation {
   /// Registry handles resolved once by set_telemetry so the per-epoch
   /// update is plain pointer bumps (no name lookups in the hot path).
   struct TelemetryHandles {
+    Counter* routes = nullptr;
+    Counter* route_stages = nullptr;
+    Counter* dead_dc_skips = nullptr;
+    Counter* memo_hits = nullptr;
+    Counter* memo_misses = nullptr;
     Counter* queries = nullptr;
     Counter* unserved = nullptr;
     std::array<Counter*, 3> applied{};  // indexed by ActionKind
@@ -402,9 +408,9 @@ class Simulation {
   unsigned jobs_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<PropagateShard> shards_;
-  /// Epoch-scoped flat scratch (the run table); reset at the top of every
-  /// propagate, zero steady-state allocations.
-  ScratchArena epoch_arena_;
+  /// The epoch's run table, rebuilt by every propagate; keeps its
+  /// capacity so steady-state epochs do not allocate.
+  std::vector<FlowRun> runs_;
 };
 
 }  // namespace rfh

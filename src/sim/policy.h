@@ -24,8 +24,6 @@
 
 namespace rfh {
 
-class ThreadPool;
-
 struct PolicyContext {
   const Topology& topology;
   const ShortestPaths& paths;
@@ -35,11 +33,6 @@ struct PolicyContext {
   const SimConfig& config;
   Epoch epoch = 0;
   Rng& rng;
-  /// Pool for sharding the per-partition decision scan; null means
-  /// serial. A policy that uses it must keep its returned actions
-  /// byte-identical to the serial scan for every worker count
-  /// (DESIGN.md §15) — RNG-consuming paths must stay serial.
-  ThreadPool* pool = nullptr;
 };
 
 class MetricRegistry;

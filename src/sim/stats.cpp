@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "exec/parallel_for.h"
 
 namespace rfh {
 
@@ -23,7 +22,7 @@ TrafficStats::TrafficStats(std::size_t partitions, std::size_t servers,
   RFH_ASSERT(alpha > 0.0 && alpha < 1.0);
 }
 
-void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
+void TrafficStats::update(const EpochTraffic& traffic) {
   RFH_ASSERT(traffic.partitions() == partitions_);
   RFH_ASSERT(traffic.servers() == servers_);
   RFH_ASSERT(traffic.datacenters() == datacenters_);
@@ -34,75 +33,58 @@ void TrafficStats::update(const EpochTraffic& traffic, ThreadPool* pool) {
   const double b = 1.0 - a;
   initialized_ = true;
 
-  // Partition axis: every write below lands in a [p]-indexed slot, so
-  // shards owning disjoint partition ranges share nothing, and each
-  // output is a pure function of its own partition's inputs — identical
-  // for every shard count.
-  parallel_for_shards(
-      pool, partitions_,
-      shard_count_for(pool, partitions_, /*min_grain=*/64),
-      [&](unsigned /*shard*/, IndexRange range) {
-        std::vector<StatCell> merged;
-        for (std::size_t p = range.begin; p < range.end; ++p) {
-          const PartitionId pid{static_cast<std::uint32_t>(p)};
-          const double q_avg = traffic.partition_queries(pid) /
-                               static_cast<double>(datacenters_);
-          avg_query_[p] = a * avg_query_[p] + b * q_avg;
+  std::vector<StatCell> merged;
+  for (std::size_t p = 0; p < partitions_; ++p) {
+    const PartitionId pid{static_cast<std::uint32_t>(p)};
+    const double q_avg =
+        traffic.partition_queries(pid) / static_cast<double>(datacenters_);
+    avg_query_[p] = a * avg_query_[p] + b * q_avg;
 
-          // Sorted merge of the EWMA cells with the epoch's traffic
-          // cells. Both lists ascend by server id, so the visit order —
-          // and therefore the Eq. 17 sum's association order — matches
-          // the dense 0..S-1 scan; servers on neither side would add
-          // exactly +0.0 and are skipped.
-          const std::vector<StatCell>& old_cells = node_cells_[p];
-          const std::span<const TrafficCell> fresh = traffic.cells(pid);
-          merged.clear();
-          merged.reserve(old_cells.size() + fresh.size());
-          double sum = 0.0;
-          std::size_t i = 0;
-          std::size_t j = 0;
-          while (i < old_cells.size() || j < fresh.size()) {
-            const bool take_old =
-                j >= fresh.size() ||
-                (i < old_cells.size() &&
-                 old_cells[i].server <= fresh[j].server);
-            const bool take_fresh =
-                i >= old_cells.size() ||
-                (j < fresh.size() && fresh[j].server <= old_cells[i].server);
-            const std::uint32_t server =
-                take_old ? old_cells[i].server : fresh[j].server;
-            const double prev = take_old ? old_cells[i].ewma : 0.0;
-            const double obs = take_fresh ? fresh[j].node : 0.0;
-            // A frozen server keeps its stale EWMA (a frozen absent cell
-            // stays absent: prev == 0.0 is not pushed, and contributes
-            // the same +0.0 to the Eq. 17 sum as the dense scan would).
-            const double v = frozen_[server] != 0 ? prev : a * prev + b * obs;
-            sum += v;
-            if (v != 0.0) merged.push_back(StatCell{server, v});
-            if (take_old) ++i;
-            if (take_fresh) ++j;
-          }
-          node_cells_[p].assign(merged.begin(), merged.end());
-          node_traffic_sum_[p] = sum;
+    // Sorted merge of the EWMA cells with the epoch's traffic cells. Both
+    // lists ascend by server id, so the visit order — and therefore the
+    // Eq. 17 sum's association order — matches the dense 0..S-1 scan;
+    // servers on neither side would add exactly +0.0 and are skipped.
+    const std::vector<StatCell>& old_cells = node_cells_[p];
+    const std::span<const TrafficCell> fresh = traffic.cells(pid);
+    merged.clear();
+    merged.reserve(old_cells.size() + fresh.size());
+    double sum = 0.0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < old_cells.size() || j < fresh.size()) {
+      const bool take_old =
+          j >= fresh.size() ||
+          (i < old_cells.size() && old_cells[i].server <= fresh[j].server);
+      const bool take_fresh =
+          i >= old_cells.size() ||
+          (j < fresh.size() && fresh[j].server <= old_cells[i].server);
+      const std::uint32_t server =
+          take_old ? old_cells[i].server : fresh[j].server;
+      const double prev = take_old ? old_cells[i].ewma : 0.0;
+      const double obs = take_fresh ? fresh[j].node : 0.0;
+      // A frozen server keeps its stale EWMA (a frozen absent cell stays
+      // absent: prev == 0.0 is not pushed, and contributes the same +0.0
+      // to the Eq. 17 sum as the dense scan would).
+      const double v = frozen_[server] != 0 ? prev : a * prev + b * obs;
+      sum += v;
+      if (v != 0.0) merged.push_back(StatCell{server, v});
+      if (take_old) ++i;
+      if (take_fresh) ++j;
+    }
+    node_cells_[p].assign(merged.begin(), merged.end());
+    node_traffic_sum_[p] = sum;
 
-          for (std::uint32_t dc = 0; dc < datacenters_; ++dc) {
-            double& v = requester_queries_[p * datacenters_ + dc];
-            v = a * v + b * traffic.requester_queries(pid, DatacenterId{dc});
-          }
-        }
-      });
-  // Server axis: same argument, one slot per server.
-  parallel_for_shards(pool, servers_,
-                      shard_count_for(pool, servers_, /*min_grain=*/4096),
-                      [&](unsigned /*shard*/, IndexRange range) {
-                        for (std::size_t s = range.begin; s < range.end; ++s) {
-                          if (frozen_[s] != 0) continue;
-                          server_arrival_[s] =
-                              a * server_arrival_[s] +
-                              b * traffic.server_work(
-                                      ServerId{static_cast<std::uint32_t>(s)});
-                        }
-                      });
+    for (std::uint32_t dc = 0; dc < datacenters_; ++dc) {
+      double& v = requester_queries_[p * datacenters_ + dc];
+      v = a * v + b * traffic.requester_queries(pid, DatacenterId{dc});
+    }
+  }
+  for (std::size_t s = 0; s < servers_; ++s) {
+    if (frozen_[s] != 0) continue;
+    server_arrival_[s] =
+        a * server_arrival_[s] +
+        b * traffic.server_work(ServerId{static_cast<std::uint32_t>(s)});
+  }
 }
 
 void TrafficStats::set_frozen(ServerId s, bool frozen) {

@@ -29,8 +29,6 @@
 
 namespace rfh {
 
-class ThreadPool;
-
 /// One (partition, server) smoothed-traffic cell (tr_bar_ik).
 struct StatCell {
   std::uint32_t server = 0;
@@ -45,11 +43,8 @@ class TrafficStats {
                std::size_t datacenters, double alpha,
                bool alpha_weights_history = true);
 
-  /// Fold in one epoch of raw observations. Every write is indexed by
-  /// partition or by server, so with a pool the fold shards those axes
-  /// across workers; each output value is a pure function of its own
-  /// inputs, making the result bit-identical for every worker count.
-  void update(const EpochTraffic& traffic, ThreadPool* pool = nullptr);
+  /// Fold in one epoch of raw observations.
+  void update(const EpochTraffic& traffic);
 
   /// Freeze (or thaw) a server's smoothed series: while frozen, update()
   /// leaves the server's tr_bar cells and arrival rate untouched, so the

@@ -2,7 +2,7 @@
 //
 // The seed engine kept replica placement as vector<vector<Replica>> — a
 // pointer chase per partition that fragments the heap at 100k servers and
-// defeats the sharded epoch passes (DESIGN.md §15), which want each
+// defeats the sharded propagate pass (DESIGN.md §15), which wants each
 // shard's partitions contiguous in memory. These tables store the same
 // state as parallel arrays:
 //

@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "check/case.h"
 #include "fault/plan.h"
+#include "harness/cli.h"
 #include "harness/runner.h"
 #include "obs/timeline.h"
 
@@ -222,6 +224,40 @@ TEST(BlackboxChainTest, SloBreachChainsToAmbientDisturbance) {
     if (chain.front().type == event_type_index<FaultInjected>()) ++chained;
   }
   EXPECT_GT(chained, 0u);
+}
+
+// rfh_blackbox checks --kill with parse_kills against the scenario it is
+// about to fly: the paper drill's 100-server world, or a --case world.
+TEST(BlackboxKillTest, KillingEveryServerIsRejectedBeforeTheRun) {
+  const Scenario paper = Scenario::paper_random_query();
+  std::vector<FailureEvent> failures;
+  const std::vector<std::string> all{"100@2"};
+  EXPECT_NE(parse_kills(all, paper, failures), "");
+  EXPECT_TRUE(failures.empty());
+  const std::vector<std::string> most{"60@2", "39@4"};
+  EXPECT_EQ(parse_kills(most, paper, failures), "");
+  EXPECT_EQ(failures.size(), 2u);
+
+  // A corpus case brings its own world: 10 datacenters x 3 servers.
+  const CheckCase::ParseResult parsed = CheckCase::load(
+      std::string(RFH_TEST_DATA_DIR) + "/corpus/zone_outage_regional.json");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const Scenario small = parsed.value.to_scenario();
+  failures.clear();
+  const std::vector<std::string> thirty{"30@2"};
+  EXPECT_NE(parse_kills(thirty, small, failures), "");
+  const std::vector<std::string> twenty_nine{"29@2"};
+  EXPECT_EQ(parse_kills(twenty_nine, small, failures), "");
+}
+
+TEST(BlackboxKillTest, KillCountTooWideForUint32IsRejected) {
+  const Scenario paper = Scenario::paper_random_query();
+  std::vector<FailureEvent> failures;
+  for (const char* value : {"4294967296@2", "4294967297@2"}) {
+    const std::vector<std::string> kills{value};
+    EXPECT_NE(parse_kills(kills, paper, failures), "") << value;
+  }
+  EXPECT_TRUE(failures.empty());
 }
 
 }  // namespace

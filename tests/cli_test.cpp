@@ -151,6 +151,26 @@ TEST(Cli, RejectsMalformedKill) {
   EXPECT_FALSE(parse({"--kill=@5"}).ok);
   EXPECT_FALSE(parse({"--kill=0@5"}).ok);
   EXPECT_FALSE(parse({"--kill=a@b"}).ok);
+  EXPECT_FALSE(parse({"--kill=1@4294967296"}).ok);  // epoch would wrap
+}
+
+TEST(Cli, KillCountsMustLeaveOneServerAlive) {
+  // The default world has 100 servers and the engine refuses to kill
+  // the last one, so the summed counts must stay at or below 99.
+  EXPECT_TRUE(parse({"--kill=99@2"}).ok);
+  EXPECT_TRUE(parse({"--kill=50@2", "--kill=49@3"}).ok);
+  const CliParseResult all = parse({"--kill=100@2"});
+  EXPECT_FALSE(all.ok);
+  EXPECT_NE(all.error.find("100 servers"), std::string::npos) << all.error;
+  EXPECT_FALSE(parse({"--kill=50@2", "--kill=50@3"}).ok);
+}
+
+TEST(Cli, KillCountTooWideForUint32IsRejectedNotTruncated) {
+  // 2^32 would wrap to 0 (kill nobody) and 2^32 + 5 to 5.
+  EXPECT_FALSE(parse({"--kill=4294967296@2"}).ok);
+  EXPECT_FALSE(parse({"--kill=4294967301@2"}).ok);
+  EXPECT_FALSE(parse({"--kill=18446744073709551615@2"}).ok);
+  EXPECT_FALSE(parse({"--kill=1@2", "--kill=18446744073709551615@3"}).ok);
 }
 
 TEST(Cli, MetricsAreValidated) {

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "core/rfh_policy.h"
+#include "exec/sweep.h"
+#include "harness/runner.h"
 #include "test_util.h"
 
 namespace rfh {
@@ -307,11 +309,11 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(Engine, LargeClusterThreadedEpochsMatchSerialAndStayInvariant) {
-  // Large-N smoke for the sharded epoch phases: a 4,000-server world
+  // Large-N smoke for the sharded propagate phase: a 4,000-server world
   // stepped with an 8-worker pool must agree with the serial engine on
   // every per-epoch aggregate and keep the cluster invariants. This is
-  // also the engine-side workload the TSan CI job races: propagate,
-  // stats_update and policy_decide all fan out across real threads here.
+  // also the engine-side workload the TSan CI job races: propagate fans
+  // out across real threads here.
   WorldOptions world_options;
   world_options.rooms_per_datacenter = 4;
   world_options.racks_per_room = 10;
@@ -348,6 +350,51 @@ TEST(Engine, LargeClusterThreadedEpochsMatchSerialAndStayInvariant) {
     EXPECT_EQ(rt.total_replicas, rs.total_replicas) << "epoch " << e;
   }
   threaded->cluster().check_invariants();
+}
+
+// set_jobs shards flow propagation only; the stats fold and the policy
+// scan stay serial. So a placement that draws from the policy RNG once
+// per partition (kRandom), and the EC floor and guards, match the
+// serial engine under a pool with no special casing.
+Scenario churn_scenario() {
+  Scenario scenario = Scenario::paper_random_query();
+  scenario.epochs = 30;
+  FaultEvent churn;
+  churn.kind = FaultKind::kChurn;
+  churn.at = 2;
+  churn.until = 30;
+  churn.period = 3;
+  churn.kill = 2;
+  churn.recover = 2;
+  scenario.fault_plan.add(churn);
+  return scenario;
+}
+
+void expect_jobs_invariant(const Scenario& scenario,
+                           const RfhPolicy::Options& options) {
+  const PolicyRun serial = run_policy(scenario, PolicyKind::kRfh, {}, options);
+  Scenario threaded = scenario;
+  threaded.engine_jobs = 4;
+  const PolicyRun pooled = run_policy(threaded, PolicyKind::kRfh, {}, options);
+  EXPECT_EQ(series_digest(pooled.series), series_digest(serial.series));
+  EXPECT_EQ(pooled.killed, serial.killed);
+  // Not vacuous: the policy placed copies beyond the seeded primaries.
+  ASSERT_FALSE(serial.series.empty());
+  EXPECT_GT(serial.series.back().total_replicas, scenario.sim.partitions);
+}
+
+TEST(EngineJobs, RandomPlacementMatchesSerialUnderAPool) {
+  RfhPolicy::Options options;
+  options.placement = RfhPolicy::Options::Placement::kRandom;
+  expect_jobs_invariant(churn_scenario(), options);
+}
+
+TEST(EngineJobs, ErasureModeMatchesSerialUnderAPool) {
+  Scenario scenario = churn_scenario();
+  scenario.sim.redundancy = RedundancyMode::kErasure;
+  scenario.sim.ec_k = 4;
+  scenario.sim.ec_m = 2;
+  expect_jobs_invariant(scenario, RfhPolicy::Options{});
 }
 
 }  // namespace

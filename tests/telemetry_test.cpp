@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <sstream>
 
 #include "harness/runner.h"
@@ -313,6 +314,93 @@ TEST(TelemetryIntegration, RegistryReconcilesWithTraceAndReports) {
   EXPECT_GT(counter_value("rfh_router_routes_total", {}), 0.0);
   EXPECT_DOUBLE_EQ(counter_value("rfh_policy_decide_calls_total", {}),
                    static_cast<double>(scenario.epochs));
+}
+
+// --- router metrics ------------------------------------------------------
+
+// A 30-epoch churn run: two servers die every third epoch and the
+// previous wave comes back, voiding the route memo each time, and
+// datacenter J is down from epoch 10 to 20 (dead-DC skips). Steps the
+// engine directly so every EpochReport is visible.
+struct RouterChurnRun {
+  RouteCounts summed;
+  std::string prometheus;
+};
+
+RouterChurnRun run_router_churn(unsigned jobs) {
+  Scenario scenario = Scenario::paper_random_query();
+  scenario.epochs = 30;
+  auto sim = make_simulation(scenario, PolicyKind::kRfh);
+  sim->set_jobs(jobs);
+  MetricRegistry registry;
+  sim->set_telemetry(&registry);
+  RouterChurnRun run;
+  std::vector<ServerId> down;
+  std::vector<ServerId> outage;
+  for (Epoch e = 0; e < scenario.epochs; ++e) {
+    if (e % 3 == 2) {
+      std::vector<ServerId> victims = sim->fail_random_servers(2);
+      sim->recover_servers(down);
+      down = std::move(victims);
+    }
+    if (e == 10) outage = sim->fail_datacenter(DatacenterId{9});
+    if (e == 20) sim->recover_servers(outage);
+    const RouteCounts& c = sim->step().routing;
+    run.summed.routes += c.routes;
+    run.summed.stages += c.stages;
+    run.summed.dead_skips += c.dead_skips;
+    run.summed.memo_hits += c.memo_hits;
+    run.summed.memo_misses += c.memo_misses;
+  }
+  std::ostringstream out;
+  registry.write_prometheus(out);
+  run.prometheus = out.str();
+  return run;
+}
+
+TEST(TelemetryIntegration, RouterMetricsEqualSummedReportCounts) {
+  const RouterChurnRun run = run_router_churn(1);
+  // Read the values as exported, from the Prometheus text.
+  const auto value_of = [&](const std::string& name) {
+    std::istringstream lines(run.prometheus);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind(name + ' ', 0) == 0) {
+        return std::stod(line.substr(name.size() + 1));
+      }
+    }
+    ADD_FAILURE() << name << " missing";
+    return -1.0;
+  };
+  EXPECT_EQ(value_of("rfh_router_routes_total"),
+            static_cast<double>(run.summed.routes));
+  EXPECT_EQ(value_of("rfh_router_route_stages_total"),
+            static_cast<double>(run.summed.stages));
+  EXPECT_EQ(value_of("rfh_router_dead_dc_skips_total"),
+            static_cast<double>(run.summed.dead_skips));
+  EXPECT_EQ(value_of("rfh_router_memo_hits_total"),
+            static_cast<double>(run.summed.memo_hits));
+  EXPECT_EQ(value_of("rfh_router_memo_misses_total"),
+            static_cast<double>(run.summed.memo_misses));
+  // Every route is a memo hit or a miss, and churn forced recomputes.
+  EXPECT_EQ(run.summed.memo_hits + run.summed.memo_misses,
+            run.summed.routes);
+  EXPECT_GT(run.summed.memo_hits, 0u);
+  EXPECT_GT(run.summed.memo_misses, 0u);
+  EXPECT_GT(run.summed.dead_skips, 0u);
+}
+
+TEST(TelemetryIntegration, PrometheusTextMatchesTheGoldenFile) {
+  // The golden text pins the registry exposition of this run — names,
+  // help text, values and family order — serial or sharded. perfbench's
+  // per-layer routing metrics read the rfh_router_* values.
+  std::ifstream in(std::string(RFH_TEST_DATA_DIR) +
+                   "/telemetry_router_churn.prom");
+  ASSERT_TRUE(in) << "missing golden file";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(run_router_churn(1).prometheus, golden.str());
+  EXPECT_EQ(run_router_churn(4).prometheus, golden.str());
 }
 
 TEST(TelemetryIntegration, RunPolicyWiresRegistryAndProfiler) {
