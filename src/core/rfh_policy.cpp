@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/assert.h"
 #include "common/availability.h"
 #include "core/selection.h"
 #include "telemetry/registry.h"
@@ -60,6 +61,39 @@ ServerId RfhPolicy::select_in_dc(const PolicyContext& ctx, DatacenterId dc,
                                      : select_server_first_fit(ctx, dc, p);
 }
 
+const std::vector<DatacenterId>& RfhPolicy::near_owner_order(
+    const Topology& topology, DatacenterId home) const {
+  if (near_owner_topology_ != &topology) {
+    near_owner_topology_ = &topology;
+    near_owner_rows_.assign(topology.datacenter_count(), {});
+  }
+  RFH_ASSERT(home.value() < near_owner_rows_.size());
+  std::vector<DatacenterId>& order = near_owner_rows_[home.value()];
+  // Only a one-datacenter world has an empty order; sorting nothing again
+  // is free.
+  if (!order.empty()) return order;
+  std::vector<double> km(topology.datacenter_count());
+  for (const Datacenter& dc : topology.datacenters()) {
+    km[dc.id.value()] = topology.distance_km(home, dc.id);
+    if (dc.id != home) order.push_back(dc.id);
+  }
+  std::sort(order.begin(), order.end(), [&](DatacenterId a, DatacenterId b) {
+    return km[a.value()] < km[b.value()];
+  });
+  return order;
+}
+
+ServerId RfhPolicy::near_owner_target(const PolicyContext& ctx,
+                                      PartitionId p) const {
+  const ServerId primary = ctx.cluster.primary_of(p);
+  const DatacenterId home = ctx.topology.server(primary).datacenter;
+  for (const DatacenterId dc : near_owner_order(ctx.topology, home)) {
+    const ServerId s = select_in_dc(ctx, dc, p);
+    if (s.valid()) return s;
+  }
+  return select_in_dc(ctx, home, p);
+}
+
 ServerId RfhPolicy::pick_target(const PolicyContext& ctx, PartitionId p,
                                 const std::vector<HubCandidate>& hubs) const {
   using Placement = Options::Placement;
@@ -74,24 +108,8 @@ ServerId RfhPolicy::pick_target(const PolicyContext& ctx, PartitionId p,
       }
       return ServerId::invalid();
     }
-    case Placement::kNearOwner: {
-      const ServerId primary = ctx.cluster.primary_of(p);
-      const DatacenterId home = ctx.topology.server(primary).datacenter;
-      std::vector<DatacenterId> dcs;
-      for (const Datacenter& dc : ctx.topology.datacenters()) {
-        if (dc.id != home) dcs.push_back(dc.id);
-      }
-      std::sort(dcs.begin(), dcs.end(),
-                [&](DatacenterId a, DatacenterId b) {
-                  return ctx.topology.distance_km(home, a) <
-                         ctx.topology.distance_km(home, b);
-                });
-      for (const DatacenterId dc : dcs) {
-        const ServerId s = select_in_dc(ctx, dc, p);
-        if (s.valid()) return s;
-      }
-      return select_in_dc(ctx, home, p);
-    }
+    case Placement::kNearOwner:
+      return near_owner_target(ctx, p);
     case Placement::kNearRequester: {
       std::vector<DatacenterId> dcs;
       for (const Datacenter& dc : ctx.topology.datacenters()) {
@@ -194,9 +212,7 @@ Actions RfhPolicy::decide(const PolicyContext& ctx) {
         // No traffic observed yet (cold partition, fresh cluster): fall
         // back to diversity near the owner so the floor is restored even
         // before the first query arrives.
-        Options near_owner = options_;
-        near_owner.placement = Options::Placement::kNearOwner;
-        target = RfhPolicy(near_owner).pick_target(ctx, p, hubs);
+        target = near_owner_target(ctx, p);
       }
       if (target.valid()) {
         DecisionExplanation why = base_explanation(ctx, q_bar, r, rmin);

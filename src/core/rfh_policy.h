@@ -74,6 +74,12 @@ class RfhPolicy final : public ReplicationPolicy {
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
+  /// Datacenters other than `home`, nearest first (great-circle distance;
+  /// equal distances keep the order std::sort gives the id-ordered list).
+  /// Computed once per home datacenter and kept: the topology is static.
+  [[nodiscard]] const std::vector<DatacenterId>& near_owner_order(
+      const Topology& topology, DatacenterId home) const;
+
  private:
   struct HubCandidate {
     ServerId server;
@@ -95,6 +101,11 @@ class RfhPolicy final : public ReplicationPolicy {
       const PolicyContext& ctx, PartitionId p,
       const std::vector<HubCandidate>& hubs) const;
 
+  /// Near-owner placement: the nearest datacenter to p's primary that
+  /// can host a copy, else the primary's own datacenter.
+  [[nodiscard]] ServerId near_owner_target(const PolicyContext& ctx,
+                                           PartitionId p) const;
+
   [[nodiscard]] ServerId select_in_dc(const PolicyContext& ctx,
                                       DatacenterId dc, PartitionId p) const;
 
@@ -115,6 +126,10 @@ class RfhPolicy final : public ReplicationPolicy {
     std::uint32_t epochs = 0;
   };
   std::vector<std::vector<ColdStreak>> cold_streak_;  // [p]
+  /// near_owner_order rows by home datacenter (empty = not computed yet),
+  /// for the topology they were computed on.
+  mutable const Topology* near_owner_topology_ = nullptr;
+  mutable std::vector<std::vector<DatacenterId>> near_owner_rows_;
 };
 
 }  // namespace rfh

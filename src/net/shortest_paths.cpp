@@ -42,19 +42,25 @@ ShortestPaths::ShortestPaths(const DcGraph& graph)
 
 std::vector<DatacenterId> ShortestPaths::path(DatacenterId from,
                                               DatacenterId to) const {
+  std::vector<DatacenterId> out;
+  path_into(from, to, out);
+  return out;
+}
+
+void ShortestPaths::path_into(DatacenterId from, DatacenterId to,
+                              std::vector<DatacenterId>& out) const {
   RFH_ASSERT(from.value() < n_ && to.value() < n_);
   RFH_ASSERT_MSG(dist_[from.value() * n_ + to.value()] != kUnreachable,
                  "no path between datacenters");
-  std::vector<DatacenterId> reversed;
+  out.clear();
   DatacenterId at = to;
   while (at != from) {
-    reversed.push_back(at);
+    out.push_back(at);
     at = pred_[from.value() * n_ + at.value()];
     RFH_ASSERT_MSG(at.valid(), "broken predecessor chain");
   }
-  reversed.push_back(from);
-  std::reverse(reversed.begin(), reversed.end());
-  return reversed;
+  out.push_back(from);
+  std::reverse(out.begin(), out.end());
 }
 
 double ShortestPaths::distance_km(DatacenterId from, DatacenterId to) const {

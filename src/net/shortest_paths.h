@@ -24,6 +24,11 @@ class ShortestPaths {
   [[nodiscard]] std::vector<DatacenterId> path(DatacenterId from,
                                                DatacenterId to) const;
 
+  /// path() written into `out` (cleared first), so a caller routing many
+  /// queries reuses one buffer instead of allocating per path.
+  void path_into(DatacenterId from, DatacenterId to,
+                 std::vector<DatacenterId>& out) const;
+
   /// Shortest-path length in kilometres; +inf if unreachable.
   [[nodiscard]] double distance_km(DatacenterId from, DatacenterId to) const;
 

@@ -1,5 +1,7 @@
 #include "routing/router.h"
 
+#include <limits>
+
 #include "common/assert.h"
 #include "ring/hash.h"
 #include "ring/rendezvous.h"
@@ -14,36 +16,56 @@ Router::Router(const Topology& topology, const ShortestPaths& paths)
 
 void Router::set_memo_enabled(bool enabled) {
   memo_enabled_ = enabled;
-  ++stamp_;  // drops every entry in O(1)
+  invalidate_routes();  // drops every entry in O(1)
 }
 
-void Router::invalidate_routes() { ++stamp_; }
+void Router::invalidate_routes() {
+  if (stamp_ == std::numeric_limits<std::uint32_t>::max()) {
+    // Restarting the stamp would revive rows stamped 2^32 bumps ago, so
+    // clear them all first (once per ~4 billion invalidations).
+    for (PartitionRow& row : rows_) {
+      row.memo.clear();
+      row.routes.clear();
+      row.relay_stamp = 0;
+    }
+    stamp_ = 1;
+    return;
+  }
+  ++stamp_;
+}
 
 void Router::invalidate_routes_for(PartitionId partition) {
-  if (partition.value() < partition_stamps_.size()) {
-    ++partition_stamps_[partition.value()];
+  // No row yet means no memo entries for this partition exist.
+  if (partition.value() >= rows_.size()) return;
+  PartitionRow& row = rows_[partition.value()];
+  if (row.partition_stamp == std::numeric_limits<std::uint32_t>::max()) {
+    row.memo.clear();
+    row.routes.clear();
+    row.partition_stamp = 1;
+    return;
   }
-  // No stamps row yet means no memo entries for this partition exist.
+  ++row.partition_stamp;
 }
 
 void Router::reserve_memo(std::size_t partitions) const {
-  if (memo_rows_.size() < partitions) {
-    memo_rows_.resize(partitions);
-    partition_stamps_.resize(partitions, 0);
-  }
+  if (rows_.size() < partitions) rows_.resize(partitions);
 }
 
-Router::MemoEntry& Router::memo_slot(PartitionId partition,
-                                     DatacenterId requester) const {
-  if (partition.value() >= memo_rows_.size()) {
+Router::PartitionRow& Router::row_for(PartitionId partition) const {
+  if (partition.value() >= rows_.size()) {
     // Serial-only growth path (concurrent users pre-size via
     // reserve_memo).
     reserve_memo(std::size_t{partition.value()} + 1);
   }
-  std::vector<MemoEntry>& row = memo_rows_[partition.value()];
-  if (row.empty()) row.resize(topology_->datacenter_count());
-  RFH_ASSERT(requester.value() < row.size());
-  return row[requester.value()];
+  return rows_[partition.value()];
+}
+
+std::vector<ServerId>& Router::relay_row(PartitionRow& row) const {
+  if (row.relay_stamp != stamp_) {
+    row.relays.assign(topology_->datacenter_count(), ServerId::invalid());
+    row.relay_stamp = stamp_;
+  }
+  return row.relays;
 }
 
 ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
@@ -53,20 +75,17 @@ ServerId Router::relay_for(PartitionId partition, DatacenterId dc,
   return rendezvous_pick(key, live_servers);
 }
 
-void Router::compute(PartitionId partition, DatacenterId requester,
-                     ServerId holder,
-                     std::span<const std::vector<ServerId>> live_by_dc,
-                     MemoEntry& entry) const {
+void Router::build(PartitionId partition, DatacenterId requester,
+                   ServerId holder,
+                   std::span<const std::vector<ServerId>> live_by_dc,
+                   std::vector<ServerId>* relays, RouteCtx& ctx) const {
   const DatacenterId holder_dc = topology_->server(holder).datacenter;
-  const std::vector<DatacenterId> dc_path =
-      paths_->path(requester, holder_dc);
+  std::vector<DatacenterId>& dc_path = ctx.dc_path;
+  paths_->path_into(requester, holder_dc, dc_path);
 
-  entry.holder = holder;
-  entry.dead_skips = 0;
-  Route& route = entry.route;
+  Route& route = ctx.route;
   route.stages.clear();
   route.holder = holder;
-  route.stages.reserve(dc_path.size());
 
   std::uint32_t hops = 1;  // client -> requester-DC relay
   double latency = kHopLatencyMs;
@@ -80,13 +99,19 @@ void Router::compute(PartitionId partition, DatacenterId requester,
     if (live.empty()) {
       // Dead datacenter: traffic passes through its backbone router but no
       // server can absorb or be a hub there.
-      ++entry.dead_skips;
       ++hops;
       continue;
     }
-    const ServerId relay = dc == holder_dc
-                               ? holder
-                               : relay_for(partition, dc, live);
+    ServerId relay = holder;
+    if (dc != holder_dc) {
+      if (relays == nullptr) {
+        relay = relay_for(partition, dc, live);
+      } else {
+        ServerId& cached = (*relays)[dc.value()];
+        if (!cached.valid()) cached = relay_for(partition, dc, live);
+        relay = cached;
+      }
+    }
     route.stages.push_back(RouteStage{dc, relay, hops, latency});
     ++hops;
   }
@@ -99,39 +124,51 @@ const Route& Router::route(
     PartitionId partition, DatacenterId requester, ServerId holder,
     std::span<const std::vector<ServerId>> live_by_dc, RouteCtx& ctx) const {
   RFH_ASSERT(holder.valid());
-
-  MemoEntry* entry = nullptr;
-  bool hit = false;
-  if (memo_enabled_) {
-    MemoEntry& slot = memo_slot(partition, requester);
-    // A populated entry is only trusted when both stamps are current and
-    // the primary it was computed for still holds the partition; the
-    // owner bumps the stamps on every liveness/link/placement change
-    // (DESIGN.md §11), so the holder check is the last line of defence
-    // rather than the invalidation mechanism.
-    hit = slot.stamp == stamp_ &&
-          slot.partition_stamp == partition_stamps_[partition.value()] &&
-          slot.holder == holder && !slot.route.stages.empty();
-    entry = &slot;
-  } else {
-    entry = &ctx.scratch;
-  }
-  if (!hit) {
-    compute(partition, requester, holder, live_by_dc, *entry);
-    if (memo_enabled_) {
-      entry->stamp = stamp_;
-      entry->partition_stamp = partition_stamps_[partition.value()];
-    }
+  const Route* result = &ctx.route;
+  if (!memo_enabled_) {
+    build(partition, requester, holder, live_by_dc, nullptr, ctx);
     ++ctx.counts.memo_misses;
   } else {
-    ++ctx.counts.memo_hits;
+    PartitionRow& row = row_for(partition);
+    if (row.memo.empty()) row.memo.resize(topology_->datacenter_count());
+    RFH_ASSERT(requester.value() < row.memo.size());
+    MemoEntry& entry = row.memo[requester.value()];
+    // A hit needs both stamps current and the same primary; the owner
+    // bumps the stamps on every liveness/link/placement change
+    // (DESIGN.md §11), so the holder check is the last line of defence
+    // rather than the invalidation mechanism.
+    const bool hit = entry.stamp == stamp_ &&
+                     entry.partition_stamp == row.partition_stamp &&
+                     entry.holder == holder;
+    Route* stored = entry.slot != kNoSlot ? &row.routes[entry.slot] : nullptr;
+    if (hit && stored != nullptr && !stored->stages.empty()) {
+      result = stored;
+    } else {
+      build(partition, requester, holder, live_by_dc, &relay_row(row), ctx);
+      if (hit) {
+        // Asked for twice with unchanged inputs: keep it. Routes asked for
+        // once (most of them in a large world) never cost route storage.
+        if (stored == nullptr) {
+          entry.slot = static_cast<std::uint32_t>(row.routes.size());
+          stored = &row.routes.emplace_back();
+        }
+        *stored = ctx.route;
+        result = stored;
+      } else {
+        if (stored != nullptr) stored->stages.clear();
+        entry.stamp = stamp_;
+        entry.partition_stamp = row.partition_stamp;
+        entry.holder = holder;
+      }
+    }
+    ++(hit ? ctx.counts.memo_hits : ctx.counts.memo_misses);
   }
-  // Counted identically for hits and misses, so the route/stage/skip
-  // totals are the same with the memo on or off.
-  ctx.counts.dead_skips += entry->dead_skips;
   ++ctx.counts.routes;
-  ctx.counts.stages += entry->route.stages.size();
-  return entry->route;
+  ctx.counts.stages += result->stages.size();
+  // Every datacenter on the path costs a hop; the ones without a stage
+  // were dead.
+  ctx.counts.dead_skips += result->total_hops - 1 - result->stages.size();
+  return *result;
 }
 
 const Route& Router::route(

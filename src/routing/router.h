@@ -11,18 +11,33 @@
 //
 // Route memo: a route is a pure function of (partition, requester,
 // holder, the per-DC live sets, the shortest paths). The engine's
-// placement mutates at epoch granularity, so the Router memoizes computed
-// routes in per-partition slot rows — memo_rows_[partition][requester] —
-// validated by stamps: a global stamp (bumped by invalidate_routes) and a
-// per-partition stamp (bumped by invalidate_routes_for), so both
-// invalidation flavours are O(1) and never touch other partitions' rows.
-// Because a slot is only ever read and written by code handling its own
+// placement mutates at epoch granularity, so the Router keeps, per
+// partition, one memo entry per requester — rows_[partition].memo — that
+// records what the route was last built for, validated by stamps: a
+// global stamp (bumped by invalidate_routes) and a per-partition stamp
+// (bumped by invalidate_routes_for), so both invalidation flavours are
+// O(1) and never touch other partitions' rows. A route asked for again
+// with both stamps and the holder unchanged is a memo hit; its second
+// build is stored in the row, and later hits return the stored copy.
+// Routes asked for only once (most of them in a 100k-server world) are
+// never stored, which keeps memo memory flat over a run. Each entry
+// records the holder, so stale-primary hazards cannot serve a wrong route
+// even if an invalidation hook is missed.
+//
+// Relay cache: each partition's row also caches relay_for per
+// datacenter, so building a route hashes only datacenters the partition
+// has not routed through since the last liveness change. A relay depends
+// only on (partition, DC, the DC's live set), so only the global stamp
+// (liveness/link changes) invalidates it; placement changes
+// (invalidate_routes_for) keep it. With the memo off both caches are
+// bypassed and every relay is hashed afresh. Stamps are 32-bit; a stamp
+// that would wrap clears the rows it guards and restarts at 1, so a stale
+// row can never match again.
+//
+// Because a row is only ever read and written by code handling its own
 // partition, the sharded propagate pass (each shard owns a contiguous
-// partition range) uses the memo concurrently with no synchronisation —
-// see DESIGN.md §11/§15 for the contract. Each entry records the holder
-// it was computed for; a lookup with a different holder recomputes, so
-// stale-primary hazards cannot serve a wrong route even if an
-// invalidation hook is missed.
+// partition range) uses the caches concurrently with no synchronisation —
+// see DESIGN.md §11/§15 for the contract.
 //
 // Counts: every route() tallies into a RouteCtx — a per-shard one for
 // the sharded propagate pass, a router-owned one for the serial overload.
@@ -86,10 +101,10 @@ class Router {
  public:
   Router(const Topology& topology, const ShortestPaths& paths);
 
-  /// Per-shard routing context: local tallies plus the result slot used
-  /// when the memo is off. References returned by the ctx overload stay
-  /// valid until the next route() call with the same ctx (or an
-  /// invalidation). Fold contexts into the router via flush_counts().
+  /// Per-shard routing context: local tallies plus the buffers routes are
+  /// built in. References returned by the ctx overload stay valid until
+  /// the next route() call with the same ctx (or an invalidation). Fold
+  /// contexts into the router via flush_counts().
   struct RouteCtx;
 
   /// Compute the route for queries from `requester` to the primary copy on
@@ -119,9 +134,9 @@ class Router {
   /// The counts folded in since the last take_counts(); resets them.
   [[nodiscard]] RouteCounts take_counts() const;
 
-  /// Pre-size the memo for `partitions` rows so concurrent shards never
-  /// grow the outer table. Idempotent; rows themselves are allocated on
-  /// first touch by the owning shard.
+  /// Pre-size the memo and relay tables for `partitions` rows so
+  /// concurrent shards never grow the outer table. Idempotent; rows
+  /// themselves are allocated on first touch by the owning shard.
   void reserve_memo(std::size_t partitions) const;
 
   /// Relay server for (partition, dc) among the given live servers.
@@ -131,53 +146,75 @@ class Router {
 
   // --- route memo -------------------------------------------------------
   /// Memoization toggle (default on). Disabling also drops all entries;
-  /// with the memo off every route() recomputes, which tests use as the
-  /// differential baseline.
+  /// with the memo off every route() recomputes, relays included, which
+  /// tests use as the differential baseline.
   void set_memo_enabled(bool enabled);
   [[nodiscard]] bool memo_enabled() const noexcept { return memo_enabled_; }
-  /// Drop every memoized route (liveness, link or path-table change).
+  /// Drop every memoized route and cached relay (liveness, link or
+  /// path-table change).
   void invalidate_routes();
-  /// Drop the memoized routes of one partition (placement mutation).
+  /// Drop the memoized routes of one partition (placement mutation). Its
+  /// cached relays stay: they do not depend on placement.
   void invalidate_routes_for(PartitionId partition);
 
  private:
+  friend class RouterTestPeer;
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+
   struct MemoEntry {
-    /// Validity stamps: an entry is live only while both match the
-    /// router's current stamps (global and per-partition).
-    std::uint64_t stamp = 0;
-    std::uint64_t partition_stamp = 0;
-    ServerId holder;  // the primary the route was computed for
-    /// Dead datacenters skipped while computing (replayed into the
-    /// counts on hits so totals are memo-invariant).
-    std::uint32_t dead_skips = 0;
-    Route route;
+    /// Validity stamps: an entry is current only while both match the
+    /// router's stamps (global and per-partition).
+    std::uint32_t stamp = 0;
+    std::uint32_t partition_stamp = 0;
+    ServerId holder;  // the primary the route was last built for
+    /// This requester's slot in PartitionRow::routes, taken on its first
+    /// hit; kNoSlot until then.
+    std::uint32_t slot = kNoSlot;
+  };
+  /// Everything the router caches for one partition. Only code routing
+  /// that partition touches its row, which is what lets propagate shards
+  /// share the router.
+  struct PartitionRow {
+    /// memo[requester-DC]; sized on first touch.
+    std::vector<MemoEntry> memo;
+    /// Stored routes of requesters that hit at least once. A slot whose
+    /// stages are empty is stale (its entry missed since it was stored).
+    std::vector<Route> routes;
+    /// relays[dc] = relay_for(partition, dc, live set), invalid until
+    /// first asked; the whole row is valid while relay_stamp == stamp_.
+    std::vector<ServerId> relays;
+    std::uint32_t partition_stamp = 0;
+    std::uint32_t relay_stamp = 0;
   };
 
  public:
   struct RouteCtx {
     RouteCounts counts;
-    /// Result slot for memo-off routing (per-context so shards never
-    /// share it).
-    MemoEntry scratch;
+    /// Buffer routes are built in.
+    Route route;
+    /// Datacenter path buffer reused by every route with this context.
+    std::vector<DatacenterId> dc_path;
   };
 
  private:
-  /// Compute a route from scratch into `entry`.
-  void compute(PartitionId partition, DatacenterId requester, ServerId holder,
-               std::span<const std::vector<ServerId>> live_by_dc,
-               MemoEntry& entry) const;
+  /// Build the route into ctx.route, taking relays from `relays` (filled
+  /// on first use). A null `relays` (memo off) hashes every relay afresh.
+  void build(PartitionId partition, DatacenterId requester, ServerId holder,
+             std::span<const std::vector<ServerId>> live_by_dc,
+             std::vector<ServerId>* relays, RouteCtx& ctx) const;
 
-  [[nodiscard]] MemoEntry& memo_slot(PartitionId partition,
-                                     DatacenterId requester) const;
+  [[nodiscard]] PartitionRow& row_for(PartitionId partition) const;
+  /// The partition's relay row, reset if the global stamp moved.
+  [[nodiscard]] std::vector<ServerId>& relay_row(PartitionRow& row) const;
 
   const Topology* topology_;
   const ShortestPaths* paths_;
   bool memo_enabled_ = true;
-  /// memo_rows_[partition][requester-DC]; rows sized lazily on first
-  /// touch. Entries validated by stamp pairs instead of being erased.
-  mutable std::vector<std::vector<MemoEntry>> memo_rows_;
-  mutable std::vector<std::uint64_t> partition_stamps_;
-  mutable std::uint64_t stamp_ = 1;
+  /// rows_[partition]; entries are validated by stamps instead of being
+  /// erased.
+  mutable std::vector<PartitionRow> rows_;
+  mutable std::uint32_t stamp_ = 1;
   /// Context backing the serial route() overload.
   mutable RouteCtx serial_ctx_;
   mutable RouteCounts counts_;

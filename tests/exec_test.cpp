@@ -20,7 +20,8 @@ namespace {
 
 TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
   // External submissions land in the FIFO injector; one worker must
-  // consume them in order.
+  // consume them in order. The main thread waits without helping
+  // (future::wait, not pool.wait), so the worker is the only consumer.
   ThreadPool pool(1);
   std::vector<int> order;
   std::mutex mutex;
@@ -31,7 +32,7 @@ TEST(ThreadPoolTest, SingleWorkerRunsExternalTasksInSubmissionOrder) {
       order.push_back(i);
     }));
   }
-  for (auto& f : futures) pool.wait(f);
+  for (auto& f : futures) f.wait();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/availability.h"
 #include "test_util.h"
@@ -271,6 +274,85 @@ TEST(RfhDecisionTree, TopHubsLimitRespected) {
       std::make_unique<RfhPolicy>(options), config);
   for (int e = 0; e < 20; ++e) sim->step();
   EXPECT_GT(sim->cluster().replica_count(PartitionId{0}), 1u);
+}
+
+/// The near-owner order as pick_target used to build it on every call:
+/// the id-ordered datacenters, sorted with distances computed inside the
+/// comparator.
+std::vector<DatacenterId> fresh_near_owner_order(const Topology& topology,
+                                                 DatacenterId home) {
+  std::vector<DatacenterId> dcs;
+  for (const Datacenter& dc : topology.datacenters()) {
+    if (dc.id != home) dcs.push_back(dc.id);
+  }
+  std::sort(dcs.begin(), dcs.end(), [&](DatacenterId a, DatacenterId b) {
+    return topology.distance_km(home, a) < topology.distance_km(home, b);
+  });
+  return dcs;
+}
+
+/// 40 datacenters on 4 sites: every distance is shared by ten of them,
+/// and 40 elements take std::sort past its insertion-sort cutoff.
+Topology tied_topology() {
+  const GeoPoint sites[] = {{0.0, 0.0}, {10.0, 20.0}, {-30.0, 40.0},
+                            {50.0, -60.0}};
+  Topology topology;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    topology.add_datacenter("D" + std::to_string(i), "USA",
+                            Continent::kNorthAmerica, sites[i % 4]);
+  }
+  return topology;
+}
+
+TEST(RfhPolicy, NearOwnerOrderEqualsAFreshDistanceSort) {
+  const World world = build_paper_world();
+  const Topology tied = tied_topology();
+  const RfhPolicy policy;
+  // Alternate topologies on one policy: switching drops the other's rows.
+  for (int round = 0; round < 2; ++round) {
+    for (const Topology* topology : {&world.topology, &tied}) {
+      for (const Datacenter& home : topology->datacenters()) {
+        EXPECT_EQ(policy.near_owner_order(*topology, home.id),
+                  fresh_near_owner_order(*topology, home.id))
+            << "home " << home.id.value() << " of "
+            << topology->datacenter_count();
+      }
+    }
+  }
+}
+
+TEST(RfhDecisionTree, FloorFallbackPicksTheNearOwnerTarget) {
+  // Without traffic the floor rule finds no forwarding node and falls
+  // back to near-owner placement. Nothing else fires (no overload, no
+  // suicide with q_bar = 0), so a traffic-hub policy must grow exactly
+  // the copies a near-owner policy with the same options grows.
+  const SimConfig config = small_config(16);
+  for (const bool erlang_b : {true, false}) {
+    RfhPolicy::Options hub;
+    hub.erlang_b_selection = erlang_b;
+    RfhPolicy::Options near_owner = hub;
+    near_owner.placement = RfhPolicy::Options::Placement::kNearOwner;
+    auto a = test::make_fixed_sim({}, std::make_unique<RfhPolicy>(hub),
+                                  config);
+    auto b = test::make_fixed_sim({}, std::make_unique<RfhPolicy>(near_owner),
+                                  config);
+    for (int e = 0; e < 5; ++e) {
+      a->step();
+      b->step();
+    }
+    for (std::uint32_t p = 0; p < config.partitions; ++p) {
+      std::vector<ServerId> ours;
+      std::vector<ServerId> theirs;
+      for (const Replica& r : a->cluster().replicas_of(PartitionId{p})) {
+        ours.push_back(r.server);
+      }
+      for (const Replica& r : b->cluster().replicas_of(PartitionId{p})) {
+        theirs.push_back(r.server);
+      }
+      EXPECT_GE(ours.size(), rmin(config));
+      EXPECT_EQ(ours, theirs) << "partition " << p << " erlang_b " << erlang_b;
+    }
+  }
 }
 
 TEST(RfhPolicy, NameAndOptionsAccessors) {

@@ -104,6 +104,27 @@ TEST_P(DijkstraRandomGraphTest, PathsAreValidAndMatchDistances) {
   }
 }
 
+TEST_P(DijkstraRandomGraphTest, PathIntoAReusedBufferEqualsPath) {
+  // The graphs of the two tests above (seed offsets 0 and 1000).
+  for (const std::uint64_t offset : {0u, 1000u}) {
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + offset);
+    const std::size_t n = 4 + rng.uniform(12);
+    const auto links = random_connected_links(n, rng);
+    const DcGraph graph(n, links);
+    const ShortestPaths paths(graph);
+    // One buffer across every pair, starting dirty: each call must
+    // replace the previous path, whatever its length.
+    std::vector<DatacenterId> buffer(n + 3, DatacenterId{0});
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        paths.path_into(DatacenterId{i}, DatacenterId{j}, buffer);
+        EXPECT_EQ(buffer, paths.path(DatacenterId{i}, DatacenterId{j}))
+            << "offset=" << offset << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraRandomGraphTest,
                          ::testing::Range(0, 8));
 
