@@ -31,6 +31,14 @@ constexpr rfh::PolicyKind kPolicies[] = {
     rfh::PolicyKind::kRequest, rfh::PolicyKind::kOwner,
     rfh::PolicyKind::kRandom, rfh::PolicyKind::kRfh};
 constexpr double kBaseRate = 300.0;  // Table I lambda
+static_assert(
+    [] {
+      for (const double load : kLoadFactors) {
+        if (kBaseRate * load > rfh::kMaxArrivalRate) return false;
+      }
+      return true;
+    }(),
+    "every swept arrival rate must pass the CLI's --arrival-rate bound");
 constexpr rfh::Epoch kEpochs = 60;
 
 struct PolicyTails {

@@ -7,6 +7,8 @@ fully-disabled pointer-test path, and the recorder-attached sim step
 over the sink-free one). Ratios — not absolute times — so the gate is
 stable across machines; CI compares against the committed baseline and
 fails when any ratio regressed by more than --threshold (default 25%).
+The baseline must name exactly the ratios in RATIOS: a missing or stale
+entry is bad input, not a pass.
 
 Usage:
   build/bench/bench_micro_events --benchmark_format=json \
@@ -24,10 +26,14 @@ import sys
 # ratio name -> (numerator benchmark, denominator benchmark)
 RATIOS = {
     "emit_timeline_over_disabled": ("BM_EmitTimelineStore", "BM_EmitDisabled"),
-    "emit_ring_over_disabled": ("BM_EmitRingBuffer", "BM_EmitDisabled"),
     "simstep_recorder_over_off": ("BM_SimStep_Recorder",
                                   "BM_SimStep_TracingOff"),
 }
+
+
+def bad_input(message):
+    print(f"obs_overhead: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def load_times(path):
@@ -35,7 +41,7 @@ def load_times(path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        sys.exit(f"obs_overhead: cannot read {path}: {exc}")
+        bad_input(f"cannot read {path}: {exc}")
     times = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -48,10 +54,10 @@ def compute_ratios(times):
     ratios = {}
     for name, (num, den) in RATIOS.items():
         if num not in times or den not in times:
-            sys.exit(f"obs_overhead: benchmark output is missing "
-                     f"{num if num not in times else den!r}")
+            bad_input(f"benchmark output is missing "
+                      f"{num if num not in times else den!r}")
         if times[den] <= 0:
-            sys.exit(f"obs_overhead: non-positive time for {den}")
+            bad_input(f"non-positive time for {den}")
         ratios[name] = times[num] / times[den]
     return ratios
 
@@ -90,18 +96,20 @@ def main():
         with open(args.baseline, "r", encoding="utf-8") as fh:
             base = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        sys.exit(f"obs_overhead: cannot read {args.baseline}: {exc}")
+        bad_input(f"cannot read {args.baseline}: {exc}")
     if base.get("schema") != "rfh-obs-overhead/1":
-        sys.exit(f"obs_overhead: {args.baseline}: bad schema "
-                 f"{base.get('schema')!r}")
+        bad_input(f"{args.baseline}: bad schema {base.get('schema')!r}")
+    baseline_names = set(base.get("ratios", {}))
+    if baseline_names != set(RATIOS):
+        missing = sorted(set(RATIOS) - baseline_names)
+        stale = sorted(baseline_names - set(RATIOS))
+        bad_input(f"{args.baseline}: ratio names differ from RATIOS "
+                  f"(missing {missing}, not measured {stale})")
 
     failed = []
     print(f"{'ratio':<32} {'baseline':>10} {'now':>10} {'change':>9}")
     for name, value in sorted(ratios.items()):
-        reference = base["ratios"].get(name)
-        if reference is None:
-            print(f"{name:<32} {'-':>10} {value:9.3f}x   (new, no baseline)")
-            continue
+        reference = base["ratios"][name]
         growth = (value - reference) / reference
         flag = ""
         if growth > args.threshold:

@@ -238,9 +238,11 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
     } else if (consume(arg, "--arrival-rate=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
-        return fail("--arrival-rate expects a positive mean arrivals per "
-                    "epoch, got '" + value + "'");
+      if (!parse_double(value, v) || !(v > 0.0 && v <= kMaxArrivalRate)) {
+        return fail("--arrival-rate expects a mean arrivals per epoch in "
+                    "(0, " + std::to_string(
+                        static_cast<std::uint64_t>(kMaxArrivalRate)) +
+                    "] (every arrival is simulated), got '" + value + "'");
       }
       options.scenario.stream.arrival_rate = v;
       stream_flag = "--arrival-rate";

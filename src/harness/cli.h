@@ -16,7 +16,8 @@
 //                                  default and reproduces the paper)
 //   --write-fraction=F            (enables consistency tracking)
 //   --arrival-rate=F              (stream only: Poisson mean arrivals per
-//                                  epoch; F > 0, default Table I's 300)
+//                                  epoch; 0 < F <= kMaxArrivalRate,
+//                                  default Table I's 300)
 //   --queue-cap=N                 (stream only: per-server queue-depth cap
 //                                  before backpressure drops; 1..1000000)
 //   --service-cv=F                (stream only: service-time coefficient

@@ -185,10 +185,6 @@ TimelineStore::TimelineStore(std::uint32_t partitions, TimelineOptions options)
   rings_.resize(partitions);
 }
 
-void TimelineStore::on_event(const Event& event) {
-  on_record(event, TraceMeta{});
-}
-
 void TimelineStore::on_record(const Event& event, const TraceMeta& meta) {
   if (!options_.keep_summaries) {
     const std::size_t type = event.index();
@@ -200,8 +196,6 @@ void TimelineStore::on_record(const Event& event, const TraceMeta& meta) {
   }
   const TimelineRecord rec = make_timeline_record(event, meta);
   ++total_;
-  ++arrival_;
-  if (rec.id != 0) any_id_ = true;
   if (rec.partition != TimelineRecord::kNoEntity &&
       rec.partition < rings_.size()) {
     insert(rings_[rec.partition], cap_, rec);
@@ -224,10 +218,7 @@ void TimelineStore::insert(Ring& ring, std::size_t cap,
 
 void TimelineStore::offer_reservoir(const TimelineRecord& rec) {
   ++evicted_;
-  // Id-less records (no bus) get a synthetic key from the eviction
-  // counter — still deterministic, since eviction order is.
-  const std::uint64_t key =
-      splitmix64(rec.id != 0 ? rec.id : (0x8000000000000000ULL | evicted_));
+  const std::uint64_t key = splitmix64(rec.id);
   const auto by_key = [](const auto& lhs, const auto& rhs) {
     return lhs.first < rhs.first;
   };
@@ -271,7 +262,7 @@ std::vector<TimelineRecord> TimelineStore::snapshot() const {
             });
   for (const auto& [key, rec] : sampled) out.push_back(rec);
   // Cause ids are assigned in emission order, so sorting by id restores
-  // chronology; id-less records keep their collection order up front.
+  // chronology.
   std::stable_sort(out.begin(), out.end(),
                    [](const TimelineRecord& lhs, const TimelineRecord& rhs) {
                      return lhs.id < rhs.id;
@@ -462,7 +453,6 @@ std::vector<TimelineRecord> TimelineQuery::why(PartitionId p, Epoch at) const {
     if (is_outcome(rec)) pick = &rec;  // latest outcome wins
   }
   if (pick == nullptr) pick = &history.back();
-  if (pick->id == 0) return {*pick};  // flat timeline: no chain to walk
   return chain(pick->id);
 }
 

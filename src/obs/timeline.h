@@ -49,7 +49,7 @@ struct TimelineRecord {
   static constexpr std::uint32_t kNoEntity = 0xffffffffu;
   static constexpr std::uint16_t kNoDc = 0xffffu;
 
-  std::uint64_t id = 0;      // bus cause id (0: recorded without a bus)
+  std::uint64_t id = 0;      // bus cause id (1-based)
   std::uint64_t parent = 0;  // causing record's id (0: root)
   const char* label = nullptr;
   /// The event's two headline numbers — for decision events the two
@@ -92,7 +92,6 @@ class TimelineStore final : public EventSink {
   explicit TimelineStore(std::uint32_t partitions,
                          TimelineOptions options = {});
 
-  void on_event(const Event& event) override;
   void on_record(const Event& event, const TraceMeta& meta) override;
 
   // --- observers --------------------------------------------------------
@@ -112,14 +111,10 @@ class TimelineStore final : public EventSink {
   [[nodiscard]] std::size_t sampled() const noexcept {
     return reservoir_.size();
   }
-  /// True when any retained record carries a bus cause id — false for
-  /// traces recorded without an EventBus (the flat-timeline fallback).
-  [[nodiscard]] bool has_cause_ids() const noexcept { return any_id_; }
   /// Upper bound on record storage currently allocated.
   [[nodiscard]] std::size_t approx_bytes() const noexcept;
 
-  /// Every retained record (rings + reservoir), cause-id ascending;
-  /// id-less records (on_event path) come first in arrival order.
+  /// Every retained record (rings + reservoir), cause-id ascending.
   [[nodiscard]] std::vector<TimelineRecord> snapshot() const;
 
   /// FNV-1a fingerprint over the canonical text of every retained record
@@ -152,8 +147,6 @@ class TimelineStore final : public EventSink {
   std::vector<std::pair<std::uint64_t, TimelineRecord>> reservoir_;
   std::uint64_t total_ = 0;
   std::uint64_t evicted_ = 0;
-  std::uint64_t arrival_ = 0;  // tiebreak for id-less records
-  bool any_id_ = false;
 };
 
 // ---------------------------------------------------------------------------

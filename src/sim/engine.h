@@ -207,8 +207,8 @@ class Simulation {
   /// handles once (see DESIGN.md for the metric names) and bumps them at
   /// the end of every step; the policy receives the registry too.
   /// nullptr detaches. Counters are updated from the same EpochReport
-  /// fields the trace events carry, so registry totals, CounterSink
-  /// totals and report sums always reconcile.
+  /// fields the trace events carry, so registry totals, counts over the
+  /// event trace and report sums always reconcile.
   void set_telemetry(MetricRegistry* registry);
   [[nodiscard]] MetricRegistry* telemetry() const noexcept {
     return telemetry_;

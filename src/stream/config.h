@@ -16,6 +16,14 @@
 
 namespace rfh {
 
+/// Largest accepted StreamConfig::arrival_rate (mean arrivals per epoch,
+/// ~3300x Table I's lambda = 300). Every arrival is sampled, timestamped
+/// and queued one at a time, so the rate bounds the work of an epoch: at
+/// the ceiling one epoch takes ~0.3 s on one Xeon core (RelWithDebInfo).
+/// It also keeps Rng::poisson's draw far inside std::uint64_t. The CLI
+/// rejects larger rates with a reason instead of running unbounded.
+inline constexpr double kMaxArrivalRate = 1e6;
+
 struct StreamConfig {
   /// Mean arrivals per epoch across all partitions (the batch workload's
   /// mean_queries_per_epoch, so stream and uniform runs at the same seed

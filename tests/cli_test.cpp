@@ -334,6 +334,17 @@ TEST(Cli, StreamFlagsAreRangeChecked) {
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=0"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=-5"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--arrival-rate=lots"}).ok);
+  // Rates past the ceiling would simulate ~1e12+ arrivals per epoch (or
+  // overflow the Poisson draw): rejected with a reason, never run.
+  for (const char* rate : {"--arrival-rate=1e12", "--arrival-rate=1e300",
+                           "--arrival-rate=inf", "--arrival-rate=nan"}) {
+    const CliParseResult r = parse({"--workload=stream", rate});
+    EXPECT_FALSE(r.ok) << rate;
+    EXPECT_NE(r.error.find("--arrival-rate"), std::string::npos) << r.error;
+  }
+  // The ceiling itself and bench_sla_latency's top rate (4x Table I).
+  EXPECT_TRUE(parse({"--workload=stream", "--arrival-rate=1e6"}).ok);
+  EXPECT_TRUE(parse({"--workload=stream", "--arrival-rate=1200"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--queue-cap=0"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--queue-cap=1000001"}).ok);
   EXPECT_FALSE(parse({"--workload=stream", "--service-cv=-1"}).ok);

@@ -3,11 +3,14 @@
 // scenario builders.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/sinks.h"
 #include "sim/engine.h"
 #include "topology/world.h"
 #include "workload/generator.h"
@@ -111,6 +114,25 @@ inline std::unique_ptr<Simulation> make_fixed_sim(
   return std::make_unique<Simulation>(
       build_paper_world(world_options), config,
       std::make_unique<FixedWorkload>(std::move(batch)), std::move(policy));
+}
+
+/// Number of captured events of type E.
+template <typename E>
+std::uint64_t count_of(const CaptureSink& capture) {
+  return static_cast<std::uint64_t>(std::count_if(
+      capture.events.begin(), capture.events.end(),
+      [](const Event& event) { return std::holds_alternative<E>(event); }));
+}
+
+/// Number of captured ActionDropped events refused for `reason`.
+inline std::uint64_t dropped_for(const CaptureSink& capture,
+                                 DropReason reason) {
+  return static_cast<std::uint64_t>(std::count_if(
+      capture.events.begin(), capture.events.end(),
+      [reason](const Event& event) {
+        const auto* dropped = std::get_if<ActionDropped>(&event);
+        return dropped != nullptr && dropped->reason == reason;
+      }));
 }
 
 }  // namespace rfh::test

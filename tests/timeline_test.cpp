@@ -232,21 +232,6 @@ TEST(TimelineQueryTest, ChainTruncationDetectedWhenAncestorEvicted) {
   EXPECT_NE(rendered.find("`- "), std::string::npos);
 }
 
-TEST(TimelineQueryTest, FlatTimelineWithoutCauseIdsDegradesGracefully) {
-  TimelineStore store(1);
-  // on_event path: no bus, no envelope — the pre-causal world.
-  store.on_event(Event{failed(1, 2)});
-  store.on_event(Event{replica(2, 0)});
-  EXPECT_FALSE(store.has_cause_ids());
-  const TimelineQuery query(store);
-  EXPECT_EQ(query.records().size(), 2u);
-  // why() still answers — a single flat record, no chain walk.
-  const std::vector<TimelineRecord> why = query.why(PartitionId{0});
-  ASSERT_EQ(why.size(), 1u);
-  EXPECT_EQ(why.front().type, event_type_index<ReplicaAdded>());
-  EXPECT_FALSE(render_chain(why).empty());
-}
-
 TEST(TimelineQueryTest, DcRecordsFindLinkEndpointsBothWays) {
   TimelineStore store(1);
   EventBus bus;
