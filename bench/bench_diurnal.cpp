@@ -93,11 +93,9 @@ int main(int argc, char** argv) {
     }
     return run;
   };
-  rfh::ThreadPool pool(jobs == 1 ? 0
-                                 : std::min<unsigned>(
-                                       jobs == 0 ? rfh::ThreadPool::default_jobs()
-                                                 : jobs,
-                                       static_cast<unsigned>(std::size(kinds))));
+  rfh::ThreadPool pool(std::min<unsigned>(
+      jobs == 0 ? rfh::ThreadPool::default_jobs() : jobs,
+      static_cast<unsigned>(std::size(kinds))));
   std::vector<std::future<rfh::PolicyRun>> futures;
   for (const rfh::PolicyKind kind : kinds) {
     futures.push_back(pool.submit([&run_kind, kind] { return run_kind(kind); }));

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     rfh::ComparativeResult r;
     {
       const auto stage = report.stage("random_query");
-      r = rfh::run_comparison_pooled(s, {}, jobs);
+      r = rfh::run_comparison(s, {}, jobs);
     }
     rfh::print_figure(std::cout, "Fig 3(a): replica utilization, random query",
                       r, &rfh::EpochMetrics::utilization);
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     rfh::ComparativeResult r;
     {
       const auto stage = report.stage("flash_crowd");
-      r = rfh::run_comparison_pooled(s, {}, jobs);
+      r = rfh::run_comparison(s, {}, jobs);
     }
     rfh::print_figure(std::cout, "Fig 3(b): replica utilization, flash crowd",
                       r, &rfh::EpochMetrics::utilization);

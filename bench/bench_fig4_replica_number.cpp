@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const unsigned jobs = rfh::bench_jobs(argc, argv);
   {
     const rfh::Scenario s = rfh::Scenario::paper_random_query();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure_u32(std::cout,
                           "Fig 4(a): total replica number, random query", r,
                           &rfh::EpochMetrics::total_replicas);
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   }
   {
     const rfh::Scenario s = rfh::Scenario::paper_flash_crowd();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure_u32(std::cout,
                           "Fig 4(c): total replica number, flash crowd", r,
                           &rfh::EpochMetrics::total_replicas);

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const unsigned jobs = rfh::bench_jobs(argc, argv);
   {
     const rfh::Scenario s = rfh::Scenario::paper_random_query();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure_u32(std::cout,
                           "Fig 6(a): total migration times, random query", r,
                           &rfh::EpochMetrics::migrations_total);
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   }
   {
     const rfh::Scenario s = rfh::Scenario::paper_flash_crowd();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure_u32(std::cout,
                           "Fig 6(c): total migration times, flash crowd", r,
                           &rfh::EpochMetrics::migrations_total);

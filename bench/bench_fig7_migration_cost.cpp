@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const unsigned jobs = rfh::bench_jobs(argc, argv);
   {
     const rfh::Scenario s = rfh::Scenario::paper_random_query();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure(std::cout,
                       "Fig 7(a): total migration cost, random query", r,
                       &rfh::EpochMetrics::migration_cost_total);
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   }
   {
     const rfh::Scenario s = rfh::Scenario::paper_flash_crowd();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure(std::cout,
                       "Fig 7(c): total migration cost, flash crowd", r,
                       &rfh::EpochMetrics::migration_cost_total);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     rfh::ComparativeResult r;
     {
       const auto stage = report.stage("random_query");
-      r = rfh::run_comparison_pooled(s, {}, jobs);
+      r = rfh::run_comparison(s, {}, jobs);
     }
     rfh::print_figure(std::cout, "Fig 8(a): load imbalance, random query", r,
                       &rfh::EpochMetrics::load_imbalance);
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     rfh::ComparativeResult r;
     {
       const auto stage = report.stage("flash_crowd");
-      r = rfh::run_comparison_pooled(s, {}, jobs);
+      r = rfh::run_comparison(s, {}, jobs);
     }
     rfh::print_figure(std::cout, "Fig 8(b): load imbalance, flash crowd", r,
                       &rfh::EpochMetrics::load_imbalance);

@@ -16,13 +16,13 @@ int main(int argc, char** argv) {
   const unsigned jobs = rfh::bench_jobs(argc, argv);
   {
     const rfh::Scenario s = rfh::Scenario::paper_random_query();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure(std::cout, "Fig 9(a): lookup path length, random query",
                       r, &rfh::EpochMetrics::path_length);
   }
   {
     const rfh::Scenario s = rfh::Scenario::paper_flash_crowd();
-    const rfh::ComparativeResult r = rfh::run_comparison_pooled(s, {}, jobs);
+    const rfh::ComparativeResult r = rfh::run_comparison(s, {}, jobs);
     rfh::print_figure(std::cout, "Fig 9(b): lookup path length, flash crowd",
                       r, &rfh::EpochMetrics::path_length);
   }

@@ -23,7 +23,6 @@
 //   --out=FILE        dump the whole record as JSONL
 // With no query flag the tool prints a summary of the record.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "check/case.h"
+#include "common/parse.h"
 #include "harness/cli.h"
 #include "harness/runner.h"
 #include "obs/timeline.h"
@@ -49,12 +49,6 @@ bool consume(const char* arg, const char* name, std::string& value) {
   if (std::strncmp(arg, name, len) != 0) return false;
   value = arg + len;
   return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
 int usage(const char* error) {
@@ -83,14 +77,14 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::uint64_t seed = 0;
   bool seed_set = false;
-  std::uint64_t epochs = 0;
-  std::uint64_t partitions = 0;
+  std::uint32_t epochs = 0;
+  std::uint32_t partitions = 0;
   std::vector<std::string> kills;
   bool why_mode = false;
   bool storm_mode = false;
-  std::uint64_t why_partition = 0;
+  std::uint32_t why_partition = 0;
   bool why_partition_set = false;
-  std::uint64_t why_epoch = rfh::TimelineQuery::kAnyEpoch;
+  rfh::Epoch why_epoch = rfh::TimelineQuery::kAnyEpoch;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -104,16 +98,17 @@ int main(int argc, char** argv) {
     } else if (consume(arg, "--out=", value)) {
       out_path = value;
     } else if (consume(arg, "--seed=", value)) {
-      if (!parse_u64(value, seed)) return usage("--seed expects an integer");
+      if (!rfh::parse_number(value, seed)) {
+        return usage("--seed expects an integer");
+      }
       seed_set = true;
     } else if (consume(arg, "--epochs=", value)) {
-      if (!parse_u64(value, epochs) || epochs == 0) {
-        return usage("--epochs expects a positive integer");
-      }
+      const std::string err = rfh::parse_count("--epochs", value, epochs);
+      if (!err.empty()) return usage(err.c_str());
     } else if (consume(arg, "--partitions=", value)) {
-      if (!parse_u64(value, partitions) || partitions == 0) {
-        return usage("--partitions expects a positive integer");
-      }
+      const std::string err =
+          rfh::parse_count("--partitions", value, partitions);
+      if (!err.empty()) return usage(err.c_str());
     } else if (consume(arg, "--kill=", value)) {
       kills.push_back(value);  // checked once the scenario is assembled
     } else if (std::strcmp(arg, "--why") == 0) {
@@ -121,13 +116,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--storm") == 0) {
       storm_mode = true;
     } else if (consume(arg, "partition=", value)) {
-      if (!why_mode || !parse_u64(value, why_partition)) {
-        return usage("partition=P belongs after --why");
+      if (!why_mode) return usage("partition=P belongs after --why");
+      if (!rfh::parse_number(value, why_partition)) {
+        return usage("partition=P expects a partition id below 2^32");
       }
       why_partition_set = true;
     } else if (consume(arg, "epoch=", value)) {
-      if (!why_mode || !parse_u64(value, why_epoch)) {
-        return usage("epoch=E belongs after --why");
+      if (!why_mode) return usage("epoch=E belongs after --why");
+      if (!rfh::parse_number(value, why_epoch)) {
+        return usage("epoch=E expects an epoch below 2^32");
       }
     } else {
       return usage((std::string("unknown argument '") + arg + "'").c_str());
@@ -166,10 +163,8 @@ int main(int argc, char** argv) {
     scenario.sim.seed = seed;
     scenario.world.seed = seed;
   }
-  if (epochs != 0) scenario.epochs = static_cast<rfh::Epoch>(epochs);
-  if (partitions != 0) {
-    scenario.sim.partitions = static_cast<std::uint32_t>(partitions);
-  }
+  if (epochs != 0) scenario.epochs = epochs;
+  if (partitions != 0) scenario.sim.partitions = partitions;
   if (!slo_spec.empty()) {
     const rfh::SloParseResult parsed = rfh::parse_slo(slo_spec);
     if (!parsed.ok) return usage(("--slo: " + parsed.error).c_str());
@@ -210,8 +205,8 @@ int main(int argc, char** argv) {
   const rfh::TimelineQuery query(store);
 
   if (why_mode) {
-    const rfh::PartitionId p{static_cast<std::uint32_t>(why_partition)};
-    const auto at = static_cast<rfh::Epoch>(why_epoch);
+    const rfh::PartitionId p{why_partition};
+    const rfh::Epoch at = why_epoch;
     const std::vector<rfh::TimelineRecord> chain = query.why(p, at);
     if (chain.empty()) {
       std::printf("partition %llu has no recorded history",

@@ -23,8 +23,12 @@
 //                        report is named "meanfield_smoke" so
 //                        bench_diff.py gates it against its own
 //                        committed baseline
-//   --jobs=N             meanfield only: engine worker threads
-//                        (0 = one per hardware thread, the default)
+//   --jobs=N|auto        meanfield only: replicates run at once, N in
+//                        [1, 1024] (auto = one per hardware thread, the
+//                        default; at most 12 are ever used). Each
+//                        replicate's engine is serial, so N also bounds
+//                        peak memory: N concurrent 100k-server engines
+//                        at the full run's last stage
 //   --quiet              only print the final summary / failure report
 //
 // Exit codes: 0 = all runs matched; 1 = divergence or invariant
@@ -36,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,10 +51,12 @@
 #include "check/fuzzer.h"
 #include "check/mean_field.h"
 #include "check/shrink.h"
+#include "common/parse.h"
 #include "core/rfh_policy.h"
 #include "exec/thread_pool.h"
 #include "fault/chaos.h"
 #include "fault/plan.h"
+#include "harness/cli.h"
 #include "harness/scenario.h"
 #include "sim/engine.h"
 #include "topology/world.h"
@@ -66,20 +73,10 @@ struct Options {
   std::string out_dir = ".";
   bool meanfield = false;
   bool smoke = false;
-  std::uint64_t jobs = 0;
+  unsigned jobs = 0;  ///< 0 = auto (one per hardware thread)
+  bool jobs_set = false;
   bool quiet = false;
 };
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  out = value;
-  return true;
-}
 
 bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
   for (int i = 1; i < argc; ++i) {
@@ -88,19 +85,21 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
       return arg.substr(std::string(prefix).size());
     };
     if (arg.rfind("--seeds=", 0) == 0) {
-      if (!parse_u64(value("--seeds="), opt.seeds) || opt.seeds == 0) {
-        error = "--seeds wants a positive integer: " + arg;
+      if (!rfh::parse_number(value("--seeds="), opt.seeds) ||
+          opt.seeds == 0) {
+        error = "--seeds wants a positive 64-bit integer: " + arg;
         return false;
       }
     } else if (arg.rfind("--seed-start=", 0) == 0) {
-      if (!parse_u64(value("--seed-start="), opt.seed_start)) {
-        error = "--seed-start wants a non-negative integer: " + arg;
+      if (!rfh::parse_number(value("--seed-start="), opt.seed_start)) {
+        error = "--seed-start wants a non-negative 64-bit integer: " + arg;
         return false;
       }
     } else if (arg.rfind("--budget-seconds=", 0) == 0) {
       std::uint64_t seconds = 0;
-      if (!parse_u64(value("--budget-seconds="), seconds) || seconds == 0) {
-        error = "--budget-seconds wants a positive integer: " + arg;
+      if (!rfh::parse_number(value("--budget-seconds="), seconds) ||
+          seconds == 0) {
+        error = "--budget-seconds wants a positive 64-bit integer: " + arg;
         return false;
       }
       opt.budget_seconds = static_cast<double>(seconds);
@@ -115,10 +114,9 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_u64(value("--jobs="), opt.jobs)) {
-        error = "--jobs wants a non-negative integer: " + arg;
-        return false;
-      }
+      error = rfh::parse_jobs(value("--jobs="), opt.jobs);
+      if (!error.empty()) return false;
+      opt.jobs_set = true;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
@@ -137,7 +135,7 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& error) {
         "--replay=FILE, --replay-dir=DIR or --mode=meanfield";
     return false;
   }
-  if ((opt.smoke || opt.jobs > 0) && !opt.meanfield) {
+  if ((opt.smoke || opt.jobs_set) && !opt.meanfield) {
     error = "--smoke and --jobs only apply to --mode=meanfield";
     return false;
   }
@@ -302,26 +300,81 @@ rfh::Scenario meanfield_scenario(std::uint32_t n_dcs, rfh::Epoch horizon) {
   return scenario;
 }
 
+// Fixed per-replicate horizon at every size: the census is averaged over
+// partitions *and* epochs, and partitions scale with N, so the
+// per-replicate sample count grows tenfold per size decade. The TV error
+// at this death rate is dominated by finite-size *fluctuations* (the
+// propagation-of-chaos CLT scale, O(1/sqrt(partitions))), not by the
+// O(1/N) bias, so a fixed horizon makes the expected TV shrink ~3.2x per
+// decade — whereas shrinking the horizon with N would cancel the very
+// convergence being measured. A single run's TV is still a half-normal
+// draw (sd ~ 0.76x its mean), so adjacent sizes would invert order far
+// too often; averaging over kReplicates independent seeds concentrates
+// the estimate enough that strict monotonicity is a ~3-sigma event per
+// adjacent pair. 2% churn keeps every point in the regime where repair
+// bandwidth never saturates (repair_prob = 1).
+constexpr std::uint32_t kReplicates = 12;
+constexpr rfh::Epoch kWarmup = 10;
+constexpr rfh::Epoch kMeasured = 40;
+
+/// One replicate's census comparison and the repairs it dropped.
+struct ReplicateOutcome {
+  rfh::CensusComparison cmp;
+  std::uint64_t dropped = 0;
+};
+
+/// Replicate `rep` of the `n_dcs` sweep point: one serial engine under the
+/// scenario's churn, its post-step census averaged over the measured
+/// window and compared with `prediction`.
+ReplicateOutcome run_replicate(const rfh::Scenario& scenario,
+                               std::uint32_t n_dcs, std::uint32_t rep,
+                               const rfh::MeanFieldPrediction& prediction) {
+  rfh::Scenario seeded = scenario;
+  seeded.sim.seed += rep;  // independent workload + chaos streams
+
+  rfh::WorkloadParams params;
+  params.partitions = seeded.sim.partitions;
+  params.datacenters = n_dcs;
+  params.mean_queries_per_epoch = 30.0 * n_dcs;
+  std::vector<std::uint32_t> strides;
+  for (std::uint32_t s = 8; s < n_dcs; s *= 8) strides.push_back(s);
+
+  rfh::RfhPolicy::Options policy_options;
+  policy_options.enable_migration = false;
+  policy_options.enable_suicide = false;
+  rfh::Simulation sim(
+      rfh::build_synthetic_world(n_dcs, seeded.world, strides), seeded.sim,
+      std::make_unique<rfh::UniformWorkload>(params),
+      std::make_unique<rfh::RfhPolicy>(policy_options));
+  rfh::ChaosController chaos(seeded.fault_plan, seeded.sim.seed);
+
+  // Time-averaged post-step census over the measured window. Dropped
+  // repairs would mean repair_prob < 1 (a modelling error, not a
+  // finite-size one), so they are counted and reported.
+  ReplicateOutcome outcome;
+  std::vector<double> census(seeded.sim.max_replicas_per_partition + 1, 0.0);
+  for (rfh::Epoch e = 0; e < seeded.epochs; ++e) {
+    chaos.before_epoch(sim, e);
+    const rfh::EpochReport er = sim.step();
+    if (e < kWarmup) continue;
+    outcome.dropped += er.dropped_actions;
+    for (std::uint32_t pv = 0; pv < seeded.sim.partitions; ++pv) {
+      const std::size_t k =
+          sim.cluster().replicas_of(rfh::PartitionId{pv}).size();
+      census[std::min(k, census.size() - 1)] += 1.0;
+    }
+  }
+  outcome.cmp = rfh::compare(census, prediction, seeded.sim.failure_rate);
+  return outcome;
+}
+
 int run_meanfield(const Options& opt) {
-  const unsigned jobs = opt.jobs == 0
-                            ? rfh::ThreadPool::default_jobs()
-                            : static_cast<unsigned>(opt.jobs);
-  // Fixed per-replicate horizon at every size: the census is averaged
-  // over partitions *and* epochs, and partitions scale with N, so the
-  // per-replicate sample count grows tenfold per size decade. The TV
-  // error at this death rate is dominated by finite-size *fluctuations*
-  // (the propagation-of-chaos CLT scale, O(1/sqrt(partitions))), not by
-  // the O(1/N) bias, so a fixed horizon makes the expected TV shrink
-  // ~3.2x per decade — whereas shrinking the horizon with N would cancel
-  // the very convergence being measured. A single run's TV is still a
-  // half-normal draw (sd ~ 0.76x its mean), so adjacent sizes would
-  // invert order far too often; averaging over kReplicates independent
-  // seeds concentrates the estimate enough that strict monotonicity is a
-  // ~3-sigma event per adjacent pair. 2% churn keeps every point in the
-  // regime where repair bandwidth never saturates (repair_prob = 1).
-  constexpr std::uint32_t kReplicates = 12;
-  constexpr rfh::Epoch kWarmup = 10;
-  constexpr rfh::Epoch kMeasured = 40;
+  // Replicates are independent runs (the census reads ClusterState after
+  // every step, so they fan out here rather than as sweep cells). At most
+  // kReplicates workers are ever useful.
+  const unsigned workers = std::min<unsigned>(
+      opt.jobs == 0 ? rfh::ThreadPool::default_jobs() : opt.jobs,
+      kReplicates);
   const std::vector<std::uint32_t> sizes =
       opt.smoke ? std::vector<std::uint32_t>{10, 100}
                 : std::vector<std::uint32_t>{10, 100, 1000};
@@ -330,7 +383,7 @@ int run_meanfield(const Options& opt) {
   std::printf("# mean-field census oracle (100-server DCs, 2%% churn per "
               "epoch, %u replicates x %llu+%llu epochs, jobs=%u)\n",
               kReplicates, static_cast<unsigned long long>(kWarmup),
-              static_cast<unsigned long long>(kMeasured), jobs);
+              static_cast<unsigned long long>(kMeasured), workers);
   std::printf("%8s %10s %10s %10s %12s %12s %12s\n", "servers",
               "tv", "tv_se", "maxbin", "sim E[r]", "pred E[r]", "pred avail");
 
@@ -338,8 +391,8 @@ int run_meanfield(const Options& opt) {
   double prev_tv = 2.0;  // TV is bounded by 1
   for (const std::uint32_t n_dcs : sizes) {
     const std::uint32_t n_servers = 100 * n_dcs;
-    const rfh::Epoch horizon = kWarmup + kMeasured;
-    const rfh::Scenario scenario = meanfield_scenario(n_dcs, horizon);
+    const rfh::Scenario scenario =
+        meanfield_scenario(n_dcs, kWarmup + kMeasured);
 
     const rfh::MeanFieldPrediction prediction =
         rfh::predict_census(scenario, n_servers);
@@ -360,51 +413,28 @@ int run_meanfield(const Options& opt) {
       std::string stage("n");
       stage += std::to_string(n_servers);
       const auto scope = report.stage(stage);
+      // Declared after the scenario and prediction its tasks read, so it
+      // drains and joins before they go out of scope.
+      rfh::ThreadPool pool(workers);
+      std::vector<std::future<ReplicateOutcome>> outcomes;
+      outcomes.reserve(kReplicates);
       for (std::uint32_t rep = 0; rep < kReplicates; ++rep) {
-        rfh::Scenario seeded = scenario;
-        seeded.sim.seed += rep;  // independent workload + chaos streams
-
-        rfh::WorkloadParams params;
-        params.partitions = seeded.sim.partitions;
-        params.datacenters = n_dcs;
-        params.mean_queries_per_epoch = 30.0 * n_dcs;
-        std::vector<std::uint32_t> strides;
-        for (std::uint32_t s = 8; s < n_dcs; s *= 8) strides.push_back(s);
-
-        rfh::RfhPolicy::Options policy_options;
-        policy_options.enable_migration = false;
-        policy_options.enable_suicide = false;
-        rfh::Simulation sim(
-            rfh::build_synthetic_world(n_dcs, seeded.world, strides),
-            seeded.sim, std::make_unique<rfh::UniformWorkload>(params),
-            std::make_unique<rfh::RfhPolicy>(policy_options));
-        sim.set_jobs(jobs);
-        rfh::ChaosController chaos(seeded.fault_plan, seeded.sim.seed);
-
-        // Time-averaged post-step census over the measured window.
-        // Dropped repairs would mean repair_prob < 1 (a modelling error,
-        // not a finite-size one), so they are counted and reported.
-        std::vector<double> census(
-            seeded.sim.max_replicas_per_partition + 1, 0.0);
-        for (rfh::Epoch e = 0; e < horizon; ++e) {
-          chaos.before_epoch(sim, e);
-          const rfh::EpochReport er = sim.step();
-          if (e < kWarmup) continue;
-          dropped += er.dropped_actions;
-          for (std::uint32_t pv = 0; pv < seeded.sim.partitions; ++pv) {
-            const std::size_t k =
-                sim.cluster().replicas_of(rfh::PartitionId{pv}).size();
-            census[std::min(k, census.size() - 1)] += 1.0;
-          }
-        }
-
-        const rfh::CensusComparison cmp =
-            rfh::compare(census, prediction, seeded.sim.failure_rate);
-        tv_sum += cmp.total_variation;
-        tv_sq += cmp.total_variation * cmp.total_variation;
-        maxbin_sum += cmp.max_bin_error;
-        replicas_sum += cmp.sim_expected_replicas;
-        avail_sum += cmp.sim_expected_availability;
+        outcomes.push_back(pool.submit([&scenario, &prediction, n_dcs, rep] {
+          return run_replicate(scenario, n_dcs, rep, prediction);
+        }));
+      }
+      // Fold in replicate-index order, so the report is byte-identical
+      // for every --jobs. future::get blocks without helping the pool, so
+      // at most `workers` engines are alive at once: that bounds peak
+      // memory, which at the 100k stage is dominated by the engines.
+      for (std::future<ReplicateOutcome>& future : outcomes) {
+        const ReplicateOutcome r = future.get();
+        dropped += r.dropped;
+        tv_sum += r.cmp.total_variation;
+        tv_sq += r.cmp.total_variation * r.cmp.total_variation;
+        maxbin_sum += r.cmp.max_bin_error;
+        replicas_sum += r.cmp.sim_expected_replicas;
+        avail_sum += r.cmp.sim_expected_availability;
       }
     }
 
@@ -459,8 +489,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: rfh_check (--seeds=N | --budget-seconds=S | "
                  "--replay=FILE | --replay-dir=DIR | --mode=meanfield) "
-                 "[--seed-start=N] [--out-dir=DIR] [--smoke] [--jobs=N] "
-                 "[--quiet]\n");
+                 "[--seed-start=N] [--out-dir=DIR] [--smoke] "
+                 "[--jobs=N|auto] [--quiet]\n");
     return 2;
   }
   if (opt.meanfield) return run_meanfield(opt);

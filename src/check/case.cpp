@@ -1,10 +1,11 @@
 #include "check/case.h"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -147,18 +148,6 @@ class FlatJsonParser {
   std::size_t pos_ = 0;
 };
 
-bool parse_u64_field(const std::string& text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_double_field(const std::string& text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 }  // namespace
 
 const char* workload_kind_name(WorkloadKind kind) noexcept {
@@ -279,24 +268,26 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
     std::string err;
     if (key == "schema") {
       continue;
-    } else if (key == "seed" || key == "rooms_per_datacenter" ||
-               key == "racks_per_room" || key == "servers_per_rack" ||
-               key == "partitions" || key == "epochs") {
+    } else if (key == "seed") {
       err = want_plain("non-negative integer");
-      std::uint64_t v = 0;
-      if (err.empty() && !parse_u64_field(raw, v)) {
-        err = "field '" + key + "' expects an integer, got '" + raw + "'";
+      if (err.empty() && !parse_number(raw, c.seed)) {
+        err = "field 'seed' expects an integer, got '" + raw + "'";
       }
-      if (err.empty()) {
-        if (key == "seed") c.seed = v;
-        else if (key == "rooms_per_datacenter")
-          c.rooms_per_datacenter = static_cast<std::uint32_t>(v);
-        else if (key == "racks_per_room")
-          c.racks_per_room = static_cast<std::uint32_t>(v);
-        else if (key == "servers_per_rack")
-          c.servers_per_rack = static_cast<std::uint32_t>(v);
-        else if (key == "partitions") c.partitions = static_cast<std::uint32_t>(v);
-        else c.epochs = static_cast<Epoch>(v);
+    } else if (key == "rooms_per_datacenter" || key == "racks_per_room" ||
+               key == "servers_per_rack" || key == "partitions" ||
+               key == "epochs") {
+      // 32-bit fields are parsed at their own width: a wider value is
+      // refused, never wrapped.
+      std::uint32_t& field =
+          key == "rooms_per_datacenter" ? c.rooms_per_datacenter
+          : key == "racks_per_room"     ? c.racks_per_room
+          : key == "servers_per_rack"   ? c.servers_per_rack
+          : key == "partitions"         ? c.partitions
+                                        : c.epochs;
+      err = want_plain("non-negative integer");
+      if (err.empty() && !parse_number(raw, field)) {
+        err = "field '" + key + "' expects an integer in [0, 4294967295], "
+              "got '" + raw + "'";
       }
     } else if (key == "zipf" || key == "alpha" || key == "beta" ||
                key == "gamma" || key == "delta" || key == "mu" ||
@@ -304,7 +295,7 @@ CheckCase::ParseResult CheckCase::from_json(std::string_view text) {
                key == "min_availability") {
       err = want_plain("number");
       double v = 0.0;
-      if (err.empty() && !parse_double_field(raw, v)) {
+      if (err.empty() && !parse_number(raw, v)) {
         err = "field '" + key + "' expects a number, got '" + raw + "'";
       }
       if (err.empty()) {

@@ -3,10 +3,10 @@
 // parallel_for_shards splits [0, n) into `shards` contiguous ranges —
 // boundaries are a pure function of (n, shards), never of the pool or of
 // timing — and runs the body once per shard. With a multi-worker pool the
-// shards execute concurrently; with a null or inline pool they run
-// serially in shard-index order. Either way the call returns only after
-// every shard has finished, and the first exception (in shard order)
-// rethrows on the caller.
+// shards execute concurrently; with a null pool they run serially in
+// shard-index order. Either way the call returns only after every shard
+// has finished, and the first exception (in shard order) rethrows on the
+// caller.
 //
 // Byte-identity discipline (DESIGN.md §11, §15): bodies write only to
 // shard-private state (slots indexed by shard id, or ranges disjoint by
@@ -50,10 +50,10 @@ struct IndexRange {
 }
 
 /// Shard count for fanning `n` items across `pool`: one shard per worker,
-/// capped at `n` (null or inline pool -> 1). Callers that need
-/// shard-count *stability* across machines should pass an explicit count
-/// to parallel_for_shards instead; the engine does not need to — its
-/// merge is shard-count invariant.
+/// capped at `n` (null pool -> 1). Callers that need shard-count
+/// *stability* across machines should pass an explicit count to
+/// parallel_for_shards instead; the engine does not need to — its merge
+/// is shard-count invariant.
 [[nodiscard]] inline unsigned shard_count_for(const ThreadPool* pool,
                                               std::size_t n) noexcept {
   const unsigned workers = pool == nullptr ? 0 : pool->size();
@@ -71,7 +71,7 @@ void parallel_for_shards(ThreadPool* pool, std::size_t n, unsigned shards,
   if (shards == 0) shards = 1;
   shards = static_cast<unsigned>(
       std::min<std::size_t>(shards, n));  // no empty shards
-  if (pool == nullptr || pool->size() == 0 || shards == 1) {
+  if (pool == nullptr || shards == 1) {
     for (unsigned s = 0; s < shards; ++s) {
       body(s, shard_range(n, shards, s));
     }

@@ -212,9 +212,6 @@ std::vector<SweepCellResult> SweepRunner::run(
     reg.counter("rfh_pool_tasks_executed_total", {},
                 "Tasks completed by the sweep pool")
         .inc(static_cast<double>(pool_stats.executed));
-    reg.counter("rfh_pool_tasks_stolen_total", {},
-                "Tasks taken from a sibling worker's deque")
-        .inc(static_cast<double>(pool_stats.stolen));
     reg.gauge("rfh_pool_occupancy_ratio", {},
               "Summed task wall time / (jobs * sweep wall time)")
         .set(wall_ns > 0.0 ? static_cast<double>(pool_stats.busy_ns) /
@@ -282,7 +279,7 @@ std::string sweep_results_json(std::span<const SweepCellResult> results) {
   return out;
 }
 
-ComparativeResult run_comparison_pooled(
+ComparativeResult run_comparison(
     const Scenario& scenario, const std::vector<FailureEvent>& failures,
     unsigned jobs) {
   std::vector<SweepCell> cells;

@@ -6,8 +6,8 @@
 // mutable: every cell builds its own World, workload stream and RNG
 // streams forked from its scenario seed, gets its own MetricRegistry and
 // trace sink when collection is enabled, and writes only its own result
-// slot. The SweepRunner fans cells out across a work-stealing ThreadPool
-// and merges results in cell-index order, so a parallel sweep is
+// slot. The SweepRunner fans cells out across a FIFO ThreadPool and
+// merges results in cell-index order, so a parallel sweep is
 // bit-identical to the serial one — enforced by
 // tests/determinism_test.cpp, which byte-compares sweep_results_json()
 // (and per-cell traces and metric dumps) across --jobs values.
@@ -110,10 +110,12 @@ class SweepRunner {
 /// counters) — the series fingerprint the differential tests compare.
 [[nodiscard]] std::uint64_t series_digest(std::span<const EpochMetrics> series);
 
-/// The paper's standard four-policy comparison executed as a sweep on a
-/// ThreadPool. jobs as in SweepOptions (0 = hardware). Bit-identical to
-/// run_comparison_sequential for every jobs value.
-[[nodiscard]] ComparativeResult run_comparison_pooled(
+/// The paper's standard comparison — Request, Owner, Random, RFH on the
+/// same scenario — executed as a four-cell sweep. The runs are fully
+/// independent (each builds its own world, generators and seeds), so
+/// results are bit-identical for every `jobs` (as in SweepOptions, except
+/// that 0 asks the hardware for at most one worker per policy).
+[[nodiscard]] ComparativeResult run_comparison(
     const Scenario& scenario, const std::vector<FailureEvent>& failures = {},
     unsigned jobs = 0);
 

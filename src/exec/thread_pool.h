@@ -1,23 +1,16 @@
-// Fixed-size work-stealing thread pool.
+// Fixed-size FIFO thread pool.
 //
-// Built for the sweep workload (src/exec/sweep.h): a few dozen coarse,
-// independent cells — whole simulation runs — fanned out across a fixed
-// set of workers. Structure:
-//
-//  * every worker owns a deque: its own submissions push/pop at the back
-//    (LIFO, depth-first for nested work), thieves take from the front;
-//  * submissions from outside the pool land in a shared FIFO injector
-//    queue, so externally submitted tasks start in submission order;
-//  * an idle worker drains its own deque, then the injector, then steals
-//    from siblings before sleeping on a condition variable.
+// Built for independent runs fanned out from outside the pool: sweep
+// cells (src/exec/sweep.h), mean-field replicates and an engine's flow
+// propagation shards. Every submission lands in one mutex-guarded FIFO
+// queue; workers take tasks from its front in submission order and sleep
+// on a condition variable while it is empty.
 //
 // Tasks are std::packaged_task wrappers: an exception thrown by a task is
 // captured into its future and rethrows at future.get() — nothing
 // terminates the worker. wait() lets any thread (including a worker, so
 // nested submit-and-wait cannot deadlock) run pending tasks while a
-// future is not ready. A pool constructed with zero threads executes
-// every submission inline on the calling thread, which is the serial
-// baseline the determinism tests compare against.
+// future is not ready.
 //
 // Determinism contract: the pool schedules, it never sequences — callers
 // must make tasks independent (the sweep gives each cell its own RNG
@@ -43,8 +36,7 @@ namespace rfh {
 
 class ThreadPool {
  public:
-  /// `threads` workers; 0 runs every task inline in submit() (no workers,
-  /// no queues — the degenerate serial pool).
+  /// `threads` workers; at least one.
   explicit ThreadPool(unsigned threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -52,9 +44,9 @@ class ThreadPool {
   /// joins the workers.
   ~ThreadPool();
 
-  /// Worker count (0 for an inline pool).
+  /// Worker count.
   [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(threads_.size());
   }
 
   /// Hardware concurrency clamped to at least 1.
@@ -66,11 +58,6 @@ class ThreadPool {
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
-    if (workers_.empty()) {
-      (*task)();  // inline pool: run on the caller, result already set
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      return future;
-    }
     enqueue([task] { (*task)(); });
     return future;
   }
@@ -88,16 +75,15 @@ class ThreadPool {
     return future.get();
   }
 
-  /// Execute one pending task on the calling thread if any is queued.
-  /// Returns false when every queue was empty.
+  /// Execute the oldest pending task on the calling thread if any is
+  /// queued. Returns false when the queue was empty.
   bool run_one();
 
   /// Busy-wait (helping) until no task is queued or running.
   void wait_idle();
 
   struct Stats {
-    std::uint64_t executed = 0;  ///< tasks completed (all queues)
-    std::uint64_t stolen = 0;    ///< tasks taken from a sibling's deque
+    std::uint64_t executed = 0;  ///< tasks completed
     std::uint64_t busy_ns = 0;   ///< summed wall time inside tasks
   };
   [[nodiscard]] Stats stats() const noexcept;
@@ -105,29 +91,27 @@ class ThreadPool {
  private:
   using Task = std::function<void()>;
 
-  struct Worker {
-    std::mutex mutex;
-    std::deque<Task> deque;
-  };
-
   void enqueue(Task task);
-  void worker_loop(unsigned index);
-  /// Dequeue honouring the steal order for `self` (own deque first when
-  /// the caller is a worker of this pool; ~0u for foreign threads).
-  bool try_dequeue(unsigned self, Task& out);
+  void worker_loop();
+  /// Pop the queue's front into `out` and count it as running; the
+  /// caller holds mutex_ and has checked the queue is non-empty.
+  void pop_locked(Task& out);
   void run_task(Task& task);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::deque<Task> injector_;
-  std::mutex injector_mutex_;
-  std::mutex sleep_mutex_;
+  /// Guards queue_ and stop_. Workers test their sleep predicate under it,
+  /// so a push (made under it) can never slip between a worker's check
+  /// and its wait: the notify that follows always finds it waiting or
+  /// about to re-check.
+  std::mutex mutex_;
   std::condition_variable wakeup_;
+  std::deque<Task> queue_;
+  bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> queued_{0};
+  /// Tasks popped but not finished. Raised under mutex_ in the same
+  /// critical section as the pop, so wait_idle never sees a task in
+  /// neither the queue nor this count.
   std::atomic<std::uint64_t> running_{0};
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
 };
 

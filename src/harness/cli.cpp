@@ -1,9 +1,10 @@
 #include "harness/cli.h"
 
-#include <charconv>
 #include <cstring>
 #include <limits>
 #include <map>
+
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -16,19 +17,34 @@ bool consume(const char* arg, const char* name, std::string& value) {
   return true;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_double(const std::string& text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 }  // namespace
+
+std::string parse_jobs(std::string_view value, unsigned& jobs) {
+  if (value == "auto") {
+    jobs = 0;  // exec/sweep.h: 0 = one worker per hardware thread
+    return {};
+  }
+  unsigned n = 0;
+  if (!parse_number(value, n) || n == 0 || n > kMaxJobs) {
+    return "--jobs expects an integer in [1, " + std::to_string(kMaxJobs) +
+           "] or 'auto' (one worker per hardware thread), got '" +
+           std::string(value) + "'";
+  }
+  jobs = n;
+  return {};
+}
+
+std::string parse_count(std::string_view flag, std::string_view value,
+                        std::uint32_t& out) {
+  std::uint32_t n = 0;
+  if (!parse_number(value, n) || n == 0) {
+    return std::string(flag) + " expects an integer in [1, " +
+           std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+           "], got '" + std::string(value) + "'";
+  }
+  out = n;
+  return {};
+}
 
 std::string parse_kills(std::span<const std::string> values,
                         const Scenario& scenario,
@@ -39,10 +55,9 @@ std::string parse_kills(std::span<const std::string> values,
   for (const std::string& value : values) {
     const std::size_t at = value.find('@');
     std::uint64_t n = 0;
-    std::uint64_t epoch = 0;
-    if (at == std::string::npos || !parse_u64(value.substr(0, at), n) ||
-        !parse_u64(value.substr(at + 1), epoch) || n == 0 ||
-        epoch > std::numeric_limits<Epoch>::max()) {
+    Epoch epoch = 0;
+    if (at == std::string::npos || !parse_number(value.substr(0, at), n) ||
+        !parse_number(value.substr(at + 1), epoch) || n == 0) {
       return "--kill expects N@E with positive N";
     }
     // total < servers holds here, so this compares without overflow.
@@ -55,7 +70,7 @@ std::string parse_kills(std::span<const std::string> values,
     total += n;
     FailureEvent event;
     event.kill_random = static_cast<std::uint32_t>(n);
-    event.epoch = static_cast<Epoch>(epoch);
+    event.epoch = epoch;
     failures.push_back(event);
   }
   return {};
@@ -150,26 +165,20 @@ CliParseResult parse_cli(std::span<const char* const> args) {
         return fail("unknown workload '" + value + "'");
       }
     } else if (consume(arg, "--epochs=", value)) {
-      std::uint64_t epochs = 0;
-      if (!parse_u64(value, epochs) || epochs == 0) {
-        return fail("--epochs expects a positive integer");
-      }
-      options.scenario.epochs = static_cast<Epoch>(epochs);
+      std::string err = parse_count("--epochs", value, options.scenario.epochs);
+      if (!err.empty()) return fail(std::move(err));
     } else if (consume(arg, "--seed=", value)) {
       std::uint64_t seed = 0;
-      if (!parse_u64(value, seed)) return fail("--seed expects an integer");
+      if (!parse_number(value, seed)) return fail("--seed expects an integer");
       options.scenario.sim.seed = seed;
       options.scenario.world.seed = seed;
     } else if (consume(arg, "--partitions=", value)) {
-      std::uint64_t partitions = 0;
-      if (!parse_u64(value, partitions) || partitions == 0) {
-        return fail("--partitions expects a positive integer");
-      }
-      options.scenario.sim.partitions =
-          static_cast<std::uint32_t>(partitions);
+      std::string err =
+          parse_count("--partitions", value, options.scenario.sim.partitions);
+      if (!err.empty()) return fail(std::move(err));
     } else if (consume(arg, "--write-fraction=", value)) {
       double fraction = 0.0;
-      if (!parse_double(value, fraction) || fraction < 0.0 ||
+      if (!parse_number(value, fraction) || fraction < 0.0 ||
           fraction > 1.0) {
         return fail("--write-fraction expects a number in [0, 1]");
       }
@@ -178,54 +187,46 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       kills.push_back(value);  // checked once the world is known
     } else if (consume(arg, "--jobs=", value)) {
       jobs_seen = true;
-      if (value == "auto") {
-        options.jobs = 0;  // exec/sweep.h: 0 = one worker per hardware thread
-      } else {
-        std::uint64_t jobs = 0;
-        if (!parse_u64(value, jobs) || jobs == 0 || jobs > 1024) {
-          return fail("--jobs expects an integer in [1, 1024] or 'auto' "
-                      "(one worker per hardware thread)");
-        }
-        options.jobs = static_cast<unsigned>(jobs);
-      }
+      std::string err = parse_jobs(value, options.jobs);
+      if (!err.empty()) return fail(std::move(err));
     } else if (consume(arg, "--alpha=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0 && v < 1.0)) {
+      if (!parse_number(value, v) || !(v > 0.0 && v < 1.0)) {
         return fail("--alpha expects a smoothing factor in (0, 1), got '" +
                     value + "'");
       }
       options.scenario.sim.alpha = v;
     } else if (consume(arg, "--beta=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
+      if (!parse_number(value, v) || !(v > 0.0)) {
         return fail("--beta expects a positive overload threshold, got '" +
                     value + "'");
       }
       options.scenario.sim.beta = v;
     } else if (consume(arg, "--gamma=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0)) {
+      if (!parse_number(value, v) || !(v > 0.0)) {
         return fail("--gamma expects a positive hub threshold, got '" +
                     value + "'");
       }
       options.scenario.sim.gamma = v;
     } else if (consume(arg, "--delta=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_number(value, v) || !(v >= 0.0)) {
         return fail("--delta expects a non-negative suicide threshold, "
                     "got '" + value + "'");
       }
       options.scenario.sim.delta = v;
     } else if (consume(arg, "--mu=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_number(value, v) || !(v >= 0.0)) {
         return fail("--mu expects a non-negative migration-benefit "
                     "threshold, got '" + value + "'");
       }
       options.scenario.sim.mu = v;
     } else if (consume(arg, "--phi=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0 && v <= 1.0)) {
+      if (!parse_number(value, v) || !(v > 0.0 && v <= 1.0)) {
         return fail("--phi expects a storage-limit fraction in (0, 1], "
                     "got '" + value + "'");
       }
@@ -238,7 +239,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       }
     } else if (consume(arg, "--arrival-rate=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v > 0.0 && v <= kMaxArrivalRate)) {
+      if (!parse_number(value, v) || !(v > 0.0 && v <= kMaxArrivalRate)) {
         return fail("--arrival-rate expects a mean arrivals per epoch in "
                     "(0, " + std::to_string(
                         static_cast<std::uint64_t>(kMaxArrivalRate)) +
@@ -248,7 +249,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       stream_flag = "--arrival-rate";
     } else if (consume(arg, "--queue-cap=", value)) {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v) || v == 0 || v > 1000000) {
+      if (!parse_number(value, v) || v == 0 || v > 1000000) {
         return fail("--queue-cap expects an integer in [1, 1000000], "
                     "got '" + value + "'");
       }
@@ -256,7 +257,7 @@ CliParseResult parse_cli(std::span<const char* const> args) {
       stream_flag = "--queue-cap";
     } else if (consume(arg, "--service-cv=", value)) {
       double v = 0.0;
-      if (!parse_double(value, v) || !(v >= 0.0)) {
+      if (!parse_number(value, v) || !(v >= 0.0)) {
         return fail("--service-cv expects a non-negative coefficient of "
                     "variation, got '" + value + "'");
       }

@@ -28,8 +28,9 @@
 //                                  server count)
 //   --metric=<name>               (see metric_names())
 //   --compare                     (all four policies)
-//   --jobs=N|auto                 (worker threads; auto = one per hardware
-//                                  thread, 1 = serial. With --compare the
+//   --jobs=N|auto                 (worker threads, N in [1, kMaxJobs];
+//                                  auto = one per hardware thread,
+//                                  1 = serial. With --compare the
 //                                  pool runs policies concurrently; on a
 //                                  single-policy run it shards the engine's
 //                                  flow propagation (Simulation::set_jobs).
@@ -69,8 +70,10 @@
 //                                  queries)
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/runner.h"
@@ -121,6 +124,21 @@ struct CliParseResult {
 /// Parse the argument list (argv[1..]); never aborts — malformed input
 /// yields ok=false with a human-readable error.
 CliParseResult parse_cli(std::span<const char* const> args);
+
+/// Upper bound on --jobs, in every tool that takes it.
+inline constexpr unsigned kMaxJobs = 1024;
+
+/// Parse a --jobs value (rfh_cli, rfh_check and the bench_* tools): "auto"
+/// yields 0 (one worker per hardware thread), else an integer in
+/// [1, kMaxJobs]. Returns the reason on rejection, else an empty string.
+std::string parse_jobs(std::string_view value, unsigned& jobs);
+
+/// Parse a positive 32-bit count flag (--epochs, --partitions; rfh_cli and
+/// rfh_blackbox) at its own width: 0, junk and values above 2^32 - 1 are
+/// refused rather than wrapped. Returns the reason on rejection, else an
+/// empty string.
+std::string parse_count(std::string_view flag, std::string_view value,
+                        std::uint32_t& out);
 
 /// Parse the repeatable --kill=N@E values (rfh_cli and rfh_blackbox) into
 /// `failures`, checked against the world `scenario` builds. The engine

@@ -103,9 +103,6 @@ class EventBus {
     return dispatch(Event(std::forward<E>(event)), parent);
   }
 
-  /// Id assigned to the most recent dispatch (0 before the first).
-  [[nodiscard]] std::uint64_t last_id() const noexcept { return seq_; }
-
   /// The most recent *root disturbance* — the injection/perturbation id
   /// that statistical echoes (TrafficShift, SloBreach) should chain to
   /// when no per-partition cause is tighter. Set by the chaos controller

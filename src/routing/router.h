@@ -149,7 +149,6 @@ class Router {
   /// with the memo off every route() recomputes, relays included, which
   /// tests use as the differential baseline.
   void set_memo_enabled(bool enabled);
-  [[nodiscard]] bool memo_enabled() const noexcept { return memo_enabled_; }
   /// Drop every memoized route and cached relay (liveness, link or
   /// path-table change).
   void invalidate_routes();

@@ -96,12 +96,6 @@ class EpochTraffic {
     RFH_ASSERT(p.value() < partitions_);
     return cells_[p.value()];
   }
-  /// Writable cell vector for shard-owned partitions (sharded propagate
-  /// compacts its scratch columns straight into this).
-  [[nodiscard]] std::vector<TrafficCell>& cells_mut(PartitionId p) {
-    RFH_ASSERT(p.value() < partitions_);
-    return cells_[p.value()];
-  }
 
   /// q_ijt: queries for p issued near datacenter j this epoch.
   [[nodiscard]] double requester_queries(PartitionId p, DatacenterId j) const {

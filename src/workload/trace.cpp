@@ -1,11 +1,11 @@
 #include "workload/trace.h"
 
 #include <array>
-#include <charconv>
 #include <string>
 #include <string_view>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace rfh {
 
@@ -37,19 +37,13 @@ std::array<std::string_view, 4> split4(std::string_view line) {
 
 std::uint32_t parse_u32(std::string_view text) {
   std::uint32_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  RFH_ASSERT_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                 "malformed integer in trace");
+  RFH_ASSERT_MSG(parse_number(text, value), "malformed integer in trace");
   return value;
 }
 
 double parse_double(std::string_view text) {
   double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  RFH_ASSERT_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                 "malformed number in trace");
+  RFH_ASSERT_MSG(parse_number(text, value), "malformed number in trace");
   return value;
 }
 

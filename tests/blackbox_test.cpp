@@ -260,5 +260,19 @@ TEST(BlackboxKillTest, KillCountTooWideForUint32IsRejected) {
   EXPECT_TRUE(failures.empty());
 }
 
+// rfh_blackbox reads --epochs and --partitions with parse_count, so a
+// value wider than 32 bits is refused instead of wrapping to a run of 0
+// or 1 epochs (or partitions).
+TEST(BlackboxFlagTest, CountsTooWideForUint32AreRejected) {
+  std::uint32_t out = 7;
+  for (const char* value : {"4294967296", "4294967297", "0", "-1", "ten"}) {
+    const std::string reason = parse_count("--epochs", value, out);
+    EXPECT_NE(reason.find("--epochs"), std::string::npos) << value;
+  }
+  EXPECT_EQ(out, 7u);
+  EXPECT_EQ(parse_count("--partitions", "4294967295", out), "");
+  EXPECT_EQ(out, 4294967295u);
+}
+
 }  // namespace
 }  // namespace rfh

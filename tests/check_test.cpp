@@ -126,6 +126,17 @@ TEST(CheckCaseJson, RejectsOutOfRangeValues) {
   EXPECT_FALSE(CheckCase::from_json(with("servers_per_rack", "0")).ok);
   EXPECT_FALSE(
       CheckCase::from_json(with("fault_plan", "\"crash at=0\"")).ok);
+  // 32-bit fields are parsed at their own width: 4294967298 must not
+  // replay as a 2-epoch case, nor 4294967296 read as 0.
+  for (const char* key : {"partitions", "epochs", "rooms_per_datacenter",
+                          "racks_per_room", "servers_per_rack"}) {
+    for (const char* value : {"4294967296", "4294967298"}) {
+      const CheckCase::ParseResult r = CheckCase::from_json(with(key, value));
+      EXPECT_FALSE(r.ok) << key << "=" << value;
+      EXPECT_NE(r.error.find("[0, 4294967295]"), std::string::npos)
+          << r.error;
+    }
+  }
 }
 
 TEST(CheckCaseJson, ToScenarioMapsEveryKnob) {

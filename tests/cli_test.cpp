@@ -62,6 +62,17 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_FALSE(parse({"--seed=abc"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=1.5"}).ok);
   EXPECT_FALSE(parse({"--write-fraction=-0.1"}).ok);
+  // 32-bit counts are parsed at their own width: 2^32 must not wrap to 0
+  // (0 epochs, or an assert in the partition sampler), nor 2^32 + 1 to 1.
+  for (const char* arg : {"--epochs=4294967296", "--epochs=4294967297",
+                          "--partitions=4294967296",
+                          "--partitions=4294967297"}) {
+    const CliParseResult r = parse({arg});
+    EXPECT_FALSE(r.ok) << arg;
+    EXPECT_NE(r.error.find("[1, 4294967295]"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(parse({"--epochs=4294967295"}).options.scenario.epochs,
+            4294967295u);
 }
 
 TEST(Cli, JobsAcceptsAutoAndExplicitCounts) {
@@ -81,6 +92,14 @@ TEST(Cli, JobsRejectsZeroNegativeAndGarbage) {
   EXPECT_FALSE(parse({"--jobs="}).ok);
   EXPECT_FALSE(parse({"--jobs=2x"}).ok);
   EXPECT_FALSE(parse({"--jobs=1025"}).ok);  // above the sanity cap
+  // parse_jobs is the grammar rfh_check and the bench_* tools share too;
+  // a rejected value leaves the output alone.
+  for (const char* bad : {"0", "1025", "4294967297", "18446744073709551617",
+                          "-1", "", "2x"}) {
+    unsigned jobs = 7;
+    EXPECT_NE(parse_jobs(bad, jobs), "") << bad;
+    EXPECT_EQ(jobs, 7u) << bad;
+  }
 }
 
 TEST(Cli, TableOneThresholdsAreRangeChecked) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "exec/sweep.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
@@ -127,20 +128,23 @@ TEST(Report, PrintFigureEmitsCsvAndSummary) {
 TEST(Runner, ParallelComparisonMatchesSequentialBitForBit) {
   Scenario scenario = Scenario::paper_random_query();
   scenario.epochs = 30;
-  const ComparativeResult parallel = run_comparison(scenario);
-  const ComparativeResult sequential = run_comparison_sequential(scenario);
-  ASSERT_EQ(parallel.runs.size(), sequential.runs.size());
-  for (std::size_t r = 0; r < parallel.runs.size(); ++r) {
-    const PolicyRun& a = parallel.runs[r];
-    const PolicyRun& b = sequential.runs[r];
-    ASSERT_EQ(a.kind, b.kind);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (std::size_t e = 0; e < a.series.size(); ++e) {
-      EXPECT_EQ(a.series[e].total_replicas, b.series[e].total_replicas);
-      EXPECT_DOUBLE_EQ(a.series[e].utilization, b.series[e].utilization);
-      EXPECT_DOUBLE_EQ(a.series[e].replication_cost_total,
-                       b.series[e].replication_cost_total);
-      EXPECT_DOUBLE_EQ(a.series[e].path_length, b.series[e].path_length);
+  const ComparativeResult sequential = run_comparison(scenario, {}, 1);
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    const ComparativeResult parallel = run_comparison(scenario, {}, jobs);
+    ASSERT_EQ(parallel.runs.size(), sequential.runs.size());
+    for (std::size_t r = 0; r < parallel.runs.size(); ++r) {
+      const PolicyRun& a = parallel.runs[r];
+      const PolicyRun& b = sequential.runs[r];
+      ASSERT_EQ(a.kind, b.kind);
+      ASSERT_EQ(a.series.size(), b.series.size());
+      for (std::size_t e = 0; e < a.series.size(); ++e) {
+        EXPECT_EQ(a.series[e].total_replicas, b.series[e].total_replicas)
+            << "jobs " << jobs;
+        EXPECT_DOUBLE_EQ(a.series[e].utilization, b.series[e].utilization);
+        EXPECT_DOUBLE_EQ(a.series[e].replication_cost_total,
+                         b.series[e].replication_cost_total);
+        EXPECT_DOUBLE_EQ(a.series[e].path_length, b.series[e].path_length);
+      }
     }
   }
 }

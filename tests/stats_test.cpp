@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rfh {
 namespace {
 
@@ -153,6 +155,51 @@ TEST(EpochTraffic, MeanPathLengthIsQueryWeighted) {
   traffic.add_path_sample(3.0, 2.0);  // 3 queries at 2 hops
   traffic.add_path_sample(1.0, 6.0);  // 1 query at 6 hops
   EXPECT_DOUBLE_EQ(traffic.mean_path_length(), (3.0 * 2.0 + 6.0) / 4.0);
+}
+
+// The paper's smoothing (Eqs. 10-11), v_t = alpha * v_{t-1} +
+// (1 - alpha) * x_t, as TrafficStats applies it; read through q_bar.
+double feed(TrafficStats& stats, double x) {
+  EpochTraffic traffic = make_traffic();
+  traffic.partition_queries_mut(PartitionId{0}) =
+      x * static_cast<double>(kDatacenters);
+  stats.update(traffic);
+  return stats.avg_query(PartitionId{0});
+}
+
+TEST(Ewma, ConvergesToConstantInput) {
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.7);
+  feed(stats, 0.0);
+  for (int i = 0; i < 200; ++i) feed(stats, 42.0);
+  EXPECT_NEAR(stats.avg_query(PartitionId{0}), 42.0, 1e-9);
+}
+
+TEST(Ewma, HighAlphaAdaptsSlowly) {
+  TrafficStats fast(kPartitions, kServers, kDatacenters, 0.1);
+  TrafficStats slow(kPartitions, kServers, kDatacenters, 0.9);
+  feed(fast, 0.0);
+  feed(slow, 0.0);
+  EXPECT_GT(feed(fast, 100.0), feed(slow, 100.0));
+}
+
+TEST(Ewma, StaysWithinObservedRange) {
+  TrafficStats stats(kPartitions, kServers, kDatacenters, 0.3);
+  double lo = 1e18;
+  double hi = -1e18;
+  const double inputs[] = {3.0, 7.0, 1.0, 9.0, 4.0, 4.0, 2.0};
+  for (const double x : inputs) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    const double v = feed(stats, x);
+    EXPECT_GE(v, lo - 1e-12);
+    EXPECT_LE(v, hi + 1e-12);
+  }
+}
+
+TEST(EwmaDeath, RejectsDegenerateAlpha) {
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, 0.0), "");
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, 1.0), "");
+  EXPECT_DEATH(TrafficStats(kPartitions, kServers, kDatacenters, -0.5), "");
 }
 
 }  // namespace
