@@ -186,11 +186,12 @@ std::vector<SweepCellResult> SweepRunner::run(
         return run_cell(cell, i);
       }));
     }
-    // Merge strictly in cell-index order; the calling thread helps drain
-    // the pool while waiting. A throwing cell rethrows from the lowest
-    // failing index.
+    // Merge strictly in cell-index order. The calling thread blocks
+    // instead of helping, so at most `jobs` cells run at once (the pool is
+    // private to this call, so blocking cannot starve a nested caller). A
+    // throwing cell rethrows from the lowest failing index.
     for (auto& future : futures) {
-      results.push_back(pool.wait(future));
+      results.push_back(future.get());
     }
     // A future turns ready inside the packaged_task, before the worker
     // bumps its executed/busy counters; drain to quiescence so the stats

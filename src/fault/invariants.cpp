@@ -204,9 +204,9 @@ void InvariantChecker::check_dead_hosts(const Simulation& sim, Epoch epoch) {
 }
 
 void InvariantChecker::check_routing(const Simulation& sim, Epoch epoch) {
-  // A fresh Router over the current topology/paths is cheap (two
-  // pointers) and keeps the checker read-only with respect to the
-  // engine's own router.
+  // A fresh Router over the current topology/paths costs one hash per
+  // server and keeps the checker read-only with respect to the engine's
+  // own router.
   const Router router(sim.topology(), sim.paths());
   const std::uint32_t partitions = sim.config().partitions;
   for (std::uint32_t p = 0; p < partitions; ++p) {

@@ -3,7 +3,9 @@
 // FNV-1a over bytes followed by a SplitMix64 finalizer: cheap, portable,
 // and well-mixed enough that ring tokens spread uniformly. Implemented
 // here (rather than relying on std::hash) so that ring placement is
-// identical on every platform and standard library.
+// identical on every platform and standard library. Everything is
+// constexpr and inline: relay picks hash every candidate server, and an
+// out-of-line call per hash cost more than the hash itself.
 #pragma once
 
 #include <cstdint>
@@ -11,13 +13,39 @@
 
 namespace rfh {
 
+namespace hash_detail {
+
+inline constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/// SplitMix64 finalizer.
+constexpr std::uint64_t finalize(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+}  // namespace hash_detail
+
 /// FNV-1a 64-bit over a byte string, with avalanche finalizer.
-std::uint64_t hash64(std::string_view bytes) noexcept;
+constexpr std::uint64_t hash64(std::string_view bytes) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return hash_detail::finalize(h);
+}
 
 /// Hash a 64-bit integer (finalizer only; already fixed-width).
-std::uint64_t hash64(std::uint64_t value) noexcept;
+constexpr std::uint64_t hash64(std::uint64_t value) noexcept {
+  return hash_detail::finalize(value + hash_detail::kGolden);
+}
 
 /// Order-dependent combination of two hashes.
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept;
+constexpr std::uint64_t hash_combine(std::uint64_t a,
+                                     std::uint64_t b) noexcept {
+  return hash_detail::finalize(
+      a ^ (b + hash_detail::kGolden + (a << 6) + (a >> 2)));
+}
 
 }  // namespace rfh

@@ -5,15 +5,17 @@
 
 namespace rfh {
 
-ServerId rendezvous_pick(std::uint64_t key,
-                         std::span<const ServerId> candidates) {
+namespace {
+
+template <typename IdHash>
+ServerId pick(std::uint64_t key, std::span<const ServerId> candidates,
+              IdHash id_hash) {
   RFH_ASSERT_MSG(!candidates.empty(), "no candidates");
   ServerId best = candidates.front();
   std::uint64_t best_weight = 0;
   bool first = true;
   for (const ServerId candidate : candidates) {
-    const std::uint64_t weight =
-        hash_combine(key, hash64(std::uint64_t{candidate.value()}));
+    const std::uint64_t weight = hash_combine(key, id_hash(candidate));
     if (first || weight > best_weight ||
         (weight == best_weight && candidate < best)) {
       best = candidate;
@@ -22,6 +24,22 @@ ServerId rendezvous_pick(std::uint64_t key,
     }
   }
   return best;
+}
+
+}  // namespace
+
+ServerId rendezvous_pick(std::uint64_t key,
+                         std::span<const ServerId> candidates) {
+  return pick(key, candidates, [](ServerId s) {
+    return hash64(std::uint64_t{s.value()});
+  });
+}
+
+ServerId rendezvous_pick(std::uint64_t key,
+                         std::span<const ServerId> candidates,
+                         std::span<const std::uint64_t> id_hashes) {
+  return pick(key, candidates,
+              [id_hashes](ServerId s) { return id_hashes[s.value()]; });
 }
 
 }  // namespace rfh

@@ -36,10 +36,9 @@ Simulation::Simulation(World world, const SimConfig& config,
   RFH_ASSERT(workload_ != nullptr);
   RFH_ASSERT(policy_ != nullptr);
   RFH_ASSERT_MSG(graph_.connected(), "datacenter graph must be connected");
-  router_.set_memo_enabled(config_.route_memo);
-  // Pre-size the memo's outer table so concurrent propagate shards never
-  // grow it (rows themselves are allocated by the owning shard).
-  router_.reserve_memo(config_.partitions);
+  // Pre-size the relay cache's outer table so concurrent propagate shards
+  // never grow it (rows themselves are allocated by the owning shard).
+  router_.reserve_relays(config_.partitions);
   seed_primaries();
 }
 
@@ -93,25 +92,39 @@ void Simulation::PropagateShard::begin_epoch() {
   samples.clear();
   work.clear();
   segments.clear();
-  cache_valid = false;
-  host_cache_used = 0;
+}
+
+void Simulation::PropagateShard::load_copies(const ClusterState& cluster,
+                                             PartitionId p) {
+  copies.clear();
+  for (const Replica& r : cluster.replicas_of(p)) {
+    copies.emplace_back(cluster.topology().server(r.server).datacenter.value(),
+                        r.primary, r.server);
+  }
+  // Within a datacenter: non-primaries by ascending id, then the primary —
+  // the hosts_in_dc order that Eqs. 2-8's capacity subtraction follows.
+  std::sort(copies.begin(), copies.end());
+  copy_dcs.clear();
+  copy_hosts.clear();
+  for (const auto& [dc, primary, server] : copies) {
+    const auto index = static_cast<std::uint32_t>(copy_hosts.size());
+    if (copy_dcs.empty() || copy_dcs.back().dc != dc) {
+      copy_dcs.push_back(CopyDc{dc, index, index});
+    }
+    copy_hosts.push_back(server);
+    copy_dcs.back().end = index + 1;
+  }
 }
 
 std::span<const ServerId> Simulation::PropagateShard::hosts(
-    const ClusterState& cluster, PartitionId p, DatacenterId dc) {
-  if (!cache_valid || cached_partition != p.value()) {
-    cached_partition = p.value();
-    cache_valid = true;
-    host_cache_used = 0;
+    DatacenterId dc) const {
+  for (const CopyDc& entry : copy_dcs) {
+    if (entry.dc == dc.value()) {
+      return std::span<const ServerId>(copy_hosts)
+          .subspan(entry.begin, entry.end - entry.begin);
+    }
   }
-  for (std::size_t i = 0; i < host_cache_used; ++i) {
-    if (host_cache[i].dc == dc.value()) return host_cache[i].hosts;
-  }
-  if (host_cache_used == host_cache.size()) host_cache.emplace_back();
-  HostsEntry& entry = host_cache[host_cache_used++];
-  entry.dc = dc.value();
-  cluster.hosts_in_dc_into(p, dc, entry.hosts);
-  return entry.hosts;
+  return {};
 }
 
 void Simulation::propagate_flow(
@@ -158,8 +171,7 @@ void Simulation::propagate_flow(
     // Local absorption: every copy hosted in this datacenter takes up
     // to its remaining per-replica capacity, non-primaries first, in
     // deterministic order (Eqs. 2-8's sequential capacity subtraction).
-    for (const ServerId host : shard.hosts(cluster_, flow.partition,
-                                           stage.dc)) {
+    for (const ServerId host : shard.hosts(stage.dc)) {
       if (residual <= 0.0) break;
       const double cap =
           world_.topology.server(host).spec.per_replica_capacity;
@@ -229,8 +241,8 @@ void Simulation::propagate(const QueryBatch& batch) {
   // Fan the runs across shards only for partition-major batches (every
   // built-in generator emits them sorted), where each partition's flows
   // land in exactly one run — so a shard's writes to partition-indexed
-  // traffic state and memo rows are private to it. Arbitrary test batches
-  // take the same code path with a single shard.
+  // traffic state and relay-cache rows are private to it. Arbitrary test
+  // batches take the same code path with a single shard.
   const unsigned shards =
       partition_major ? shard_count_for(pool_.get(), n_runs) : 1;
   if (shards_.size() < shards) shards_.resize(shards);
@@ -241,6 +253,7 @@ void Simulation::propagate(const QueryBatch& batch) {
         PropagateShard& shard = shards_[s];
         for (std::size_t ri = range.begin; ri < range.end; ++ri) {
           const FlowRun& run = runs_[ri];
+          shard.load_copies(cluster_, PartitionId{run.partition});
           for (std::uint32_t f = run.begin; f < run.end; ++f) {
             propagate_flow(batch[f], live_by_dc, shard);
           }
@@ -388,7 +401,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
     }
     replication_bytes_[src.value()] += config_.unit_size();
     cluster_.add_replica(a.partition, a.target);
-    router_.invalidate_routes_for(a.partition);
     const double cost = transfer_cost(
         world_.topology.server(src).datacenter,
         world_.topology.server(a.target).datacenter, config_.unit_size(),
@@ -436,7 +448,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
     migration_bytes_[a.from.value()] += config_.unit_size();
     cluster_.remove_replica(a.partition, a.from);
     cluster_.add_replica(a.partition, a.to);
-    router_.invalidate_routes_for(a.partition);
     const double cost = transfer_cost(
         world_.topology.server(a.from).datacenter,
         world_.topology.server(a.to).datacenter, config_.unit_size(),
@@ -463,7 +474,6 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
       continue;
     }
     cluster_.remove_replica(a.partition, a.server);
-    router_.invalidate_routes_for(a.partition);
     report.suicides += 1;
     remember(a.partition,
              events_.emit_caused(rule_id != 0 ? rule_id : cause_of(a.partition),
@@ -473,8 +483,9 @@ void Simulation::apply_actions(const Actions& actions, EpochReport& report) {
 
   if (report.repairs_starved > kStarvedRepairWarnThreshold) {
     log(LogLevel::kWarn,
-        "epoch %u: %u availability-floor repairs starved on node caps "
+        "%.*s epoch %u: %u availability-floor repairs starved on node caps "
         "(raise max_vnodes / partitions_hint)",
+        static_cast<int>(policy_->name().size()), policy_->name().data(),
         epoch_, report.repairs_starved);
   }
 }
@@ -566,11 +577,6 @@ void Simulation::set_telemetry(MetricRegistry* registry) {
   tel_.dead_dc_skips = &reg.counter(
       "rfh_router_dead_dc_skips_total", {},
       "Transit datacenters skipped because no server was alive");
-  tel_.memo_hits = &reg.counter("rfh_router_memo_hits_total", {},
-                                "route() calls served from the memo");
-  tel_.memo_misses = &reg.counter(
-      "rfh_router_memo_misses_total", {},
-      "route() calls that recomputed (cold, invalidated or holder moved)");
   policy_->set_telemetry(registry);
   tel_.queries = &reg.counter("rfh_queries_total", {},
                               "Queries offered to the cluster");
@@ -609,8 +615,6 @@ void Simulation::update_telemetry(const EpochReport& report) {
   tel_.routes->inc(static_cast<double>(report.routing.routes));
   tel_.route_stages->inc(static_cast<double>(report.routing.stages));
   tel_.dead_dc_skips->inc(static_cast<double>(report.routing.dead_skips));
-  tel_.memo_hits->inc(static_cast<double>(report.routing.memo_hits));
-  tel_.memo_misses->inc(static_cast<double>(report.routing.memo_misses));
   tel_.queries->inc(report.total_queries);
   tel_.unserved->inc(report.unserved_queries);
   tel_.applied[static_cast<std::size_t>(ActionKind::kReplicate)]->inc(
@@ -685,8 +689,10 @@ void Simulation::handle_lost_copies(std::span<const ClusterState::LostCopy> lost
     // ring successor so the keyspace stays owned.
     ++data_losses_;
     if (telemetry_ != nullptr) tel_.data_losses->inc(1.0);
-    log(LogLevel::kWarn, "partition %u lost all copies; reseeding",
-        copy.partition.value());
+    log(LogLevel::kWarn,
+        "%.*s epoch %u: partition %u lost all copies; reseeding",
+        static_cast<int>(policy_->name().size()), policy_->name().data(),
+        epoch_, copy.partition.value());
     ServerId home;
     ServerId first;
     cluster_.ring().for_each_preference(
@@ -751,9 +757,8 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
         // cause chain to the most recent disturbance.
         if (failure_id != 0) events_.set_ambient_cause(failure_id);
       });
-  // Liveness changed: relays and dead-DC skips may differ everywhere, and
-  // handle_lost_copies below can move primaries.
-  router_.invalidate_routes();
+  // Liveness changed: cached relays may be dead or lose to a survivor.
+  router_.invalidate_relays();
   handle_lost_copies(all_lost, lost_causes);
   if (config_.redundancy == RedundancyMode::kErasure) {
     // Stripe-loss scan: a partition whose live fragment count fell below
@@ -769,8 +774,10 @@ void Simulation::fail_servers(std::span<const ServerId> servers) {
       ++data_losses_;
       if (telemetry_ != nullptr) tel_.data_losses->inc(1.0);
       log(LogLevel::kWarn,
-          "partition %u stripe lost: %u fragments alive, below k=%u",
-          p.value(), alive_fragments, config_.ec_k);
+          "%.*s epoch %u: partition %u stripe lost: %u fragments alive, "
+          "below k=%u",
+          static_cast<int>(policy_->name().size()), policy_->name().data(),
+          epoch_, p.value(), alive_fragments, config_.ec_k);
       const std::uint64_t id = events_.emit_caused(
           i < lost_causes.size() ? lost_causes[i] : 0,
           StripeLost{epoch_, p, alive_fragments});
@@ -826,7 +833,8 @@ void Simulation::recover_servers(std::span<const ServerId> servers) {
     const std::uint64_t id = events_.emit(ServerRecovered{epoch_, s});
     if (id != 0) events_.set_ambient_cause(id);
   }
-  if (!revived.empty()) router_.invalidate_routes();
+  // A revived server may win relay picks it lost while it was down.
+  if (!revived.empty()) router_.invalidate_relays();
 }
 
 namespace {
@@ -853,11 +861,10 @@ void Simulation::rebuild_network() {
   graph_ = DcGraph(world_.topology.datacenter_count(), active_links());
   RFH_ASSERT_MSG(graph_.connected(),
                  "link failure would partition the network");
-  paths_ = ShortestPaths(graph_);
   // router_ holds pointers to world_.topology and paths_, both of which
-  // keep their addresses across the reassignment above — but every
-  // memoized route was computed against the old path table.
-  router_.invalidate_routes();
+  // keep their addresses across this reassignment; its cached relays
+  // depend on liveness only, so they stay valid.
+  paths_ = ShortestPaths(graph_);
 }
 
 bool Simulation::link_failure_would_partition(DatacenterId a,

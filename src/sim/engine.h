@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -295,22 +296,25 @@ class Simulation {
     std::vector<WorkDelta> work;
     std::vector<FlowSegment> segments;  ///< only filled when a log is attached
     Router::RouteCtx route_ctx;
-    /// hosts_in_dc results for the partition currently being processed,
-    /// one entry per datacenter touched (placement is frozen during
-    /// propagate, so caching is exact).
-    struct HostsEntry {
+    /// The copies of the partition being propagated, grouped by
+    /// datacenter in absorption order. Placement is frozen during
+    /// propagate, so one gather per run of a partition's flows is exact.
+    struct CopyDc {
       std::uint32_t dc = 0;
-      std::vector<ServerId> hosts;
+      std::uint32_t begin = 0;  ///< index into copy_hosts
+      std::uint32_t end = 0;    ///< exclusive
     };
-    std::vector<HostsEntry> host_cache;
-    std::size_t host_cache_used = 0;
-    std::uint32_t cached_partition = 0;
-    bool cache_valid = false;
+    std::vector<CopyDc> copy_dcs;
+    std::vector<ServerId> copy_hosts;
+    /// Gather scratch: (dc, is-primary, server) per copy.
+    std::vector<std::tuple<std::uint32_t, bool, ServerId>> copies;
 
     void begin_epoch();
-    /// Cached hosts_in_dc(p, dc); the span is valid until the next call.
-    std::span<const ServerId> hosts(const ClusterState& cluster, PartitionId p,
-                                    DatacenterId dc);
+    /// Gather p's copies into copy_dcs / copy_hosts.
+    void load_copies(const ClusterState& cluster, PartitionId p);
+    /// ClusterState::hosts_in_dc(p, dc) for the loaded partition p (empty
+    /// when dc holds no copy); valid until the next load_copies.
+    [[nodiscard]] std::span<const ServerId> hosts(DatacenterId dc) const;
   };
 
   void seed_primaries();
@@ -344,8 +348,6 @@ class Simulation {
     Counter* routes = nullptr;
     Counter* route_stages = nullptr;
     Counter* dead_dc_skips = nullptr;
-    Counter* memo_hits = nullptr;
-    Counter* memo_misses = nullptr;
     Counter* queries = nullptr;
     Counter* unserved = nullptr;
     std::array<Counter*, 3> applied{};  // indexed by ActionKind

@@ -12,29 +12,50 @@ QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
                         std::uint32_t partition_rotation, Rng& rng) {
   const std::uint64_t total = rng.poisson(mean_total);
   const DiscreteSampler requesters(requester_weights);
-
-  // Aggregate counts per (partition, requester).
   const std::size_t n_partitions = partitions.size();
   const std::size_t n_requesters = requester_weights.size();
-  std::vector<double> counts(n_partitions * n_requesters, 0.0);
-  for (std::uint64_t q = 0; q < total; ++q) {
+
+  // Draw every query, partition then requester, in RNG order, as a
+  // (partition, requester) key; count both coordinates (offset by one for
+  // the prefix sums below).
+  std::vector<std::uint64_t> keys(total);
+  std::vector<std::uint32_t> requester_start(n_requesters + 1, 0);
+  std::vector<std::uint32_t> partition_start(n_partitions + 1, 0);
+  for (std::uint64_t& key : keys) {
     const std::size_t rank = partitions.sample(rng);
-    const std::size_t partition =
-        (rank + partition_rotation) % n_partitions;
+    const std::size_t partition = (rank + partition_rotation) % n_partitions;
     const std::size_t requester = requesters.sample(rng);
-    counts[partition * n_requesters + requester] += 1.0;
+    key = std::uint64_t{partition} << 32 | requester;
+    ++requester_start[requester + 1];
+    ++partition_start[partition + 1];
+  }
+  // Two stable counting sorts, by requester and then by partition, leave
+  // equal keys adjacent in partition-major, requester-ascending order: the
+  // aggregation costs O(queries + partitions + requesters), with no dense
+  // partition x requester plane.
+  for (std::size_t r = 0; r < n_requesters; ++r) {
+    requester_start[r + 1] += requester_start[r];
+  }
+  for (std::size_t p = 0; p < n_partitions; ++p) {
+    partition_start[p + 1] += partition_start[p];
+  }
+  std::vector<std::uint64_t> by_requester(total);
+  for (const std::uint64_t key : keys) {
+    by_requester[requester_start[key & 0xffffffffU]++] = key;
+  }
+  for (const std::uint64_t key : by_requester) {
+    keys[partition_start[key >> 32]++] = key;
   }
 
   QueryBatch batch;
-  for (std::size_t p = 0; p < n_partitions; ++p) {
-    for (std::size_t r = 0; r < n_requesters; ++r) {
-      const double c = counts[p * n_requesters + r];
-      if (c > 0.0) {
-        batch.push_back(QueryFlow{
-            PartitionId{static_cast<std::uint32_t>(p)},
-            DatacenterId{static_cast<std::uint32_t>(r)}, c});
-      }
-    }
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t end = i + 1;
+    while (end < keys.size() && keys[end] == keys[i]) ++end;
+    batch.push_back(
+        QueryFlow{PartitionId{static_cast<std::uint32_t>(keys[i] >> 32)},
+                  DatacenterId{static_cast<std::uint32_t>(keys[i])},
+                  static_cast<double>(end - i)});
+    i = end;
   }
   return batch;
 }

@@ -164,7 +164,8 @@ class HotspotShiftWorkload final : public WorkloadGenerator {
 /// Shared implementation: draw Poisson(total), then assign each query a
 /// partition from `partition_rank_to_id` via the Zipf sampler and a
 /// requester from `requester_weights`, aggregating equal (partition,
-/// requester) pairs into one flow.
+/// requester) pairs into one flow. Flows come out partition-major with
+/// requesters ascending (the engine shards propagate by partition run).
 QueryBatch sample_batch(double mean_total, const ZipfSampler& partitions,
                         std::span<const double> requester_weights,
                         std::uint32_t partition_rotation, Rng& rng);

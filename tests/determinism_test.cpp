@@ -7,13 +7,9 @@
 //     and every cell's event trace — including under a rolling-churn
 //     FaultPlan;
 //   * run_comparison at jobs 2, 4 and 8 == run_comparison at jobs 1;
-//   * the route memo (sim/config.h route_memo) and the flat-ring
-//     successor cache are pure caches: toggling them never changes a
-//     single series value, with or without failures mutating placement
-//     mid-run;
-//   * the iterator-invalidation regression: a policy issuing suicide +
+//   * the mid-epoch mutation regression: a policy issuing suicide +
 //     migrate for the same partition in the same epoch runs identically
-//     with the memo on and off, under the invariant checker.
+//     on the serial and the sharded engine, under the invariant checker.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -108,8 +104,8 @@ TEST(SweepDeterminismTest, RepeatedParallelSweepsAgree) {
 
 TEST(SweepDeterminismTest, ChurnFaultPlanSweepIsByteIdenticalToSerial) {
   // Rolling churn: one kill + one recovery every 3 epochs for the whole
-  // run, exercising ring membership changes, promotions and the route
-  // memo invalidation path inside every cell.
+  // run, exercising ring membership changes, promotions and the relay
+  // cache invalidation path inside every cell.
   std::vector<SweepCell> cells;
   for (const std::uint64_t seed : {5ull, 6ull, 7ull}) {
     SweepCell cell;
@@ -381,17 +377,6 @@ TEST(EngineJobsDeterminismTest, EveryJobsValueProducesTheSameSeries) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Route memo: a pure cache. Toggling it must not move a single bit, even
-// when failures and churn mutate placement and liveness mid-run.
-
-PolicyRun run_with_memo(const Scenario& base, bool memo,
-                        const std::vector<FailureEvent>& failures = {}) {
-  Scenario scenario = base;
-  scenario.sim.route_memo = memo;
-  return run_policy(scenario, PolicyKind::kRfh, failures);
-}
-
 TEST(RedundancyDeterminismTest, ReplicaModeIsByteIdenticalToDefault) {
   // Threading the redundancy axis through the engine must leave replica
   // runs untouched: reconstruction_threshold() == 1 makes every EC scale
@@ -436,50 +421,12 @@ TEST(RedundancyDeterminismTest, ErasureRunsAreReproducible) {
   EXPECT_NE(series_digest(a.series), series_digest(c.series));
 }
 
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOff) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 25;
-  EXPECT_EQ(series_digest(run_with_memo(scenario, true).series),
-            series_digest(run_with_memo(scenario, false).series));
-}
-
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOffUnderMassFailure) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 25;
-  FailureEvent failure;
-  failure.epoch = 10;
-  failure.kill_random = 20;
-  const PolicyRun with = run_with_memo(scenario, true, {failure});
-  const PolicyRun without = run_with_memo(scenario, false, {failure});
-  EXPECT_EQ(series_digest(with.series), series_digest(without.series));
-  EXPECT_EQ(with.killed, without.killed);
-}
-
-TEST(RouteMemoDeterminismTest, MemoOnEqualsMemoOffUnderRollingChurn) {
-  Scenario scenario = Scenario::paper_random_query();
-  scenario.epochs = 30;
-  FaultEvent churn;
-  churn.kind = FaultKind::kChurn;
-  churn.at = 2;
-  churn.until = 30;
-  churn.period = 3;
-  churn.kill = 1;
-  churn.recover = 1;
-  scenario.fault_plan.add(churn);
-  const PolicyRun with = run_with_memo(scenario, true);
-  const PolicyRun without = run_with_memo(scenario, false);
-  EXPECT_EQ(series_digest(with.series), series_digest(without.series));
-  EXPECT_EQ(with.killed, without.killed);
-  EXPECT_GT(with.faults_injected, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Regression for the mid-epoch mutation hazard: a policy that issues a
 // suicide AND a migrate for the same partition in the same epoch makes
-// apply_actions mutate placement between route invalidations. The engine
-// must flush the memo after every applied action (engine.cpp
-// apply_actions), so memo on/off runs — and their invariant sweeps —
-// agree exactly.
+// apply_actions mutate the same partition's placement twice in a row.
+// Routing and absorption must see only the final placement, so serial and
+// sharded runs — and their invariant sweeps — agree exactly.
 
 Actions suicide_plus_migrate(const PolicyContext& ctx) {
   Actions actions;
@@ -521,19 +468,19 @@ Actions suicide_plus_migrate(const PolicyContext& ctx) {
   return actions;
 }
 
-TEST(RouteMemoDeterminismTest, SuicidePlusMigrateSameEpochRegression) {
+TEST(PlacementMutationDeterminismTest, SuicidePlusMigrateSameEpochRegression) {
   QueryBatch batch;
   for (std::uint32_t p = 0; p < 8; ++p) {
     batch.push_back(QueryFlow{PartitionId{p}, DatacenterId{(p * 3) % 10},
                               12.0});
   }
   std::vector<EpochMetrics> series[2];
-  for (const bool memo : {true, false}) {
+  for (const unsigned jobs : {1u, 4u}) {
     SimConfig config;
     config.partitions = 8;
-    config.route_memo = memo;
     auto sim = test::make_fixed_sim(
         batch, test::make_lambda_policy(suicide_plus_migrate), config);
+    sim->set_jobs(jobs);
     InvariantChecker checker(InvariantChecker::Mode::kRecord);
     MetricsCollector collector;
     for (Epoch e = 0; e < 6; ++e) {
@@ -547,7 +494,7 @@ TEST(RouteMemoDeterminismTest, SuicidePlusMigrateSameEpochRegression) {
       checker.check_epoch(*sim, report);
     }
     EXPECT_TRUE(checker.violations().empty()) << checker.summary();
-    series[memo ? 0 : 1] = collector.series();
+    series[jobs == 1 ? 0 : 1] = collector.series();
   }
   EXPECT_EQ(series_digest(series[0]), series_digest(series[1]));
 }

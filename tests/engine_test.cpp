@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/log.h"
 #include "core/rfh_policy.h"
 #include "exec/sweep.h"
 #include "harness/runner.h"
@@ -231,6 +234,86 @@ TEST(Engine, TotalLossReseedsAndCounts) {
   EXPECT_TRUE(reseeded.valid());
   EXPECT_TRUE(sim->cluster().alive(reseeded));
   sim->cluster().check_invariants();
+}
+
+TEST(Engine, AbsorptionFollowsHostsInDcOrder) {
+  // Two non-primaries join the primary's datacenter in descending id
+  // order. A local flow of 5 queries against a per-replica capacity of 2
+  // must fill them in hosts_in_dc order (non-primaries by ascending id,
+  // then the primary), not in insertion or replica-slab order.
+  const PartitionId p{0};
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>());
+  const ServerId holder = probe->cluster().primary_of(p);
+  const DatacenterId dc = probe->topology().server(holder).datacenter;
+  std::vector<ServerId> others;
+  for (const ServerId s : probe->topology().servers_in(dc)) {
+    if (s != holder) others.push_back(s);
+  }
+  ASSERT_GE(others.size(), 2u);
+  const ServerId low = others.front();
+  const ServerId high = others.back();
+  ASSERT_LT(low, high);
+
+  Actions add_high;
+  add_high.replications.push_back(ReplicateAction{p, high, {}});
+  Actions add_low;
+  add_low.replications.push_back(ReplicateAction{p, low, {}});
+  auto sim = test::make_fixed_sim(
+      {QueryFlow{p, dc, 5.0}},
+      std::make_unique<test::ScriptedPolicy>(
+          std::vector<Actions>{add_high, add_low}));
+  sim->step();
+  sim->step();
+  const std::vector<ServerId> order = sim->cluster().hosts_in_dc(p, dc);
+  ASSERT_EQ(order, (std::vector<ServerId>{low, high, holder}));
+
+  sim->step();  // first epoch with all three copies in place
+  EXPECT_EQ(sim->traffic().served(p, low), 2.0);
+  EXPECT_EQ(sim->traffic().served(p, high), 2.0);
+  EXPECT_EQ(sim->traffic().served(p, holder), 1.0);
+  EXPECT_EQ(sim->traffic().unserved(p), 0.0);
+}
+
+TEST(Engine, WarningsNameThePolicyAndTheEpoch) {
+  // Concurrent runs (rfh_cli --compare) share stderr, so every engine
+  // warning says which policy and epoch it came from.
+  const PartitionId p{0};
+  auto probe = test::make_fixed_sim({}, std::make_unique<test::NullPolicy>());
+  const ServerId holder = probe->cluster().primary_of(p);
+  ServerId target;
+  for (const Server& s : probe->topology().servers()) {
+    if (s.id != holder) {
+      target = s.id;
+      break;
+    }
+  }
+  DecisionExplanation floor;
+  floor.rule = DecisionRule::kAvailabilityFloor;
+  Actions repair;
+  repair.replications.push_back(ReplicateAction{p, target, floor});
+  SimConfig config;
+  config.max_replicas_per_partition = 1;  // every floor repair starves
+  auto sim = test::make_fixed_sim(
+      {}, std::make_unique<test::ScriptedPolicy>(
+              std::vector<Actions>{Actions{}, Actions{}, repair}),
+      config);
+
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  sim->run(3);
+  const ServerId victims[] = {sim->cluster().primary_of(p)};
+  sim->fail_servers(victims);
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_log_level(saved);
+
+  EXPECT_NE(err.find("Scripted epoch 2: 1 availability-floor repairs starved"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("Scripted epoch 3: partition 0 lost all copies; "
+                     "reseeding"),
+            std::string::npos)
+      << err;
 }
 
 TEST(Engine, FailureClearsDeadServerStatistics) {

@@ -265,6 +265,27 @@ TEST(SweepRunnerTest, SweepTelemetryCountsCellsAndPoolWork) {
   EXPECT_EQ(registry.gauge("rfh_sweep_jobs").value(), 3.0);
 }
 
+TEST(SweepRunnerTest, PoolOccupancyStaysWithinJobs) {
+  // The calling thread blocks on each cell instead of running queued
+  // cells itself, so at most `jobs` cells run at once and summed cell
+  // time never exceeds jobs x sweep wall time.
+  std::vector<SweepCell> cells = small_grid();
+  const std::vector<SweepCell> more = small_grid();
+  for (SweepCell cell : more) {
+    cell.scenario.sim.seed += 10;
+    cells.push_back(std::move(cell));
+  }
+  ASSERT_EQ(cells.size(), 12u);
+  MetricRegistry registry;
+  SweepOptions options;
+  options.jobs = 2;
+  options.registry = &registry;
+  (void)SweepRunner(options).run(cells);
+  const double occupancy = registry.gauge("rfh_pool_occupancy_ratio").value();
+  EXPECT_GT(occupancy, 0.0);
+  EXPECT_LE(occupancy, 1.0);
+}
+
 TEST(SweepRunnerTest, EffectiveJobsResolvesZeroToHardware) {
   SweepOptions zero;
   zero.jobs = 0;

@@ -298,8 +298,10 @@ Topology tied_topology() {
                             {50.0, -60.0}};
   Topology topology;
   for (std::uint32_t i = 0; i < 40; ++i) {
-    topology.add_datacenter("D" + std::to_string(i), "USA",
-                            Continent::kNorthAmerica, sites[i % 4]);
+    std::string name = "D";
+    name += std::to_string(i);
+    topology.add_datacenter(name, "USA", Continent::kNorthAmerica,
+                            sites[i % 4]);
   }
   return topology;
 }

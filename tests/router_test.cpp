@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "net/graph.h"
@@ -13,29 +14,19 @@
 
 namespace rfh {
 
-// Reaches the router's stamps and relay rows, so tests can stand a router
+// Reaches the router's stamp and relay rows, so tests can stand a router
 // at a 32-bit stamp wrap without 2^32 invalidations.
 class RouterTestPeer {
  public:
   static void set_stamp(Router& router, std::uint32_t stamp) {
     router.stamp_ = stamp;
   }
-  static void set_partition_stamp(Router& router, PartitionId partition,
-                                  std::uint32_t stamp) {
-    router.row_for(partition).partition_stamp = stamp;
-  }
-  static std::size_t stored_routes(const Router& router,
-                                   PartitionId partition) {
-    return partition.value() < router.rows_.size()
-               ? router.rows_[partition.value()].routes.size()
-               : 0;
-  }
   /// The relay cached for (partition, dc), or invalid if none is current.
   static ServerId cached_relay(const Router& router, PartitionId partition,
                                DatacenterId dc) {
     if (partition.value() >= router.rows_.size()) return ServerId::invalid();
-    const Router::PartitionRow& row = router.rows_[partition.value()];
-    if (row.relay_stamp != router.stamp_ || row.relays.empty()) {
+    const Router::RelayRow& row = router.rows_[partition.value()];
+    if (row.stamp != router.stamp_ || row.relays.empty()) {
       return ServerId::invalid();
     }
     return row.relays[dc.value()];
@@ -131,9 +122,9 @@ TEST_F(RouterTest, DeadDatacenterIsSkippedButCostsAHop) {
                                      holder, live_by_dc_);
   auto live = live_by_dc_;
   live[world_.by_letter('I').value()].clear();
-  // Liveness changed: the owner of a Router must flush its route memo
+  // Liveness changed: the owner of a Router must drop its cached relays
   // (the engine does this in fail_servers / recover_servers).
-  router_.invalidate_routes();
+  router_.invalidate_relays();
   const Route after = router_.route(PartitionId{0}, world_.by_letter('J'),
                                     holder, live);
   EXPECT_EQ(after.stages.size(), before.stages.size() - 1);
@@ -177,7 +168,7 @@ TEST_F(RouterTest, RelayForPicksAmongGivenServers) {
   EXPECT_TRUE(relay == ServerId{12} || relay == ServerId{13});
 }
 
-// --- relay cache: memo on vs memo off ---------------------------------
+// --- relay cache vs Router::relay_for ---------------------------------
 
 struct Triple {
   PartitionId partition;
@@ -187,8 +178,7 @@ struct Triple {
 
 class RelayCacheTest : public RouterTest {
  protected:
-  RelayCacheTest() : baseline_(world_.topology, paths_) {
-    baseline_.set_memo_enabled(false);
+  RelayCacheTest() {
     const auto& servers = world_.topology.servers();
     for (std::uint32_t p = 0; p < 16; ++p) {
       const ServerId holder = servers[(p * 37) % servers.size()].id;
@@ -198,41 +188,67 @@ class RelayCacheTest : public RouterTest {
     }
   }
 
-  /// Route every triple three times on the memo router (a miss, a hit
-  /// that stores the route, a hit served from the stored copy) and on the
-  /// memo-off baseline; every field must match exactly.
-  void expect_matches_baseline(const char* step) {
-    for (int pass = 0; pass < 3; ++pass) {
+  /// The route the paper's rules give, built from scratch: the shortest
+  /// datacenter path, dead datacenters skipped at the cost of a hop, and
+  /// every transit relay hashed afresh with the static relay_for.
+  Route expected(const Triple& t) const {
+    const DatacenterId holder_dc = world_.topology.server(t.holder).datacenter;
+    Route want;
+    want.holder = t.holder;
+    std::uint32_t hops = 1;
+    double latency = kHopLatencyMs;
+    for (const DatacenterId dc : paths_.path(t.requester, holder_dc)) {
+      latency = kHopLatencyMs * hops +
+                paths_.distance_km(t.requester, dc) / kFibreKmPerMs;
+      const std::vector<ServerId>& live = live_by_dc_[dc.value()];
+      if (!live.empty()) {
+        const ServerId relay = dc == holder_dc
+                                   ? t.holder
+                                   : Router::relay_for(t.partition, dc, live);
+        want.stages.push_back(RouteStage{dc, relay, hops, latency});
+      }
+      ++hops;
+    }
+    want.total_hops = hops;
+    want.total_latency_ms = latency + kHopLatencyMs;
+    return want;
+  }
+
+  static void expect_same(const Route& got, const Route& want,
+                          const std::string& where) {
+    ASSERT_EQ(got.stages.size(), want.stages.size()) << where;
+    for (std::size_t i = 0; i < want.stages.size(); ++i) {
+      EXPECT_EQ(got.stages[i].dc, want.stages[i].dc) << where;
+      EXPECT_EQ(got.stages[i].relay, want.stages[i].relay) << where;
+      EXPECT_EQ(got.stages[i].hops_at_entry, want.stages[i].hops_at_entry)
+          << where;
+      EXPECT_EQ(got.stages[i].latency_ms, want.stages[i].latency_ms) << where;
+    }
+    EXPECT_EQ(got.holder, want.holder) << where;
+    EXPECT_EQ(got.total_hops, want.total_hops) << where;
+    EXPECT_EQ(got.total_latency_ms, want.total_latency_ms) << where;
+  }
+
+  /// Route every triple twice (the first pass may fill the cache, the
+  /// second reads it); every field must match the from-scratch route.
+  void expect_matches_relay_for(const char* step) {
+    for (int pass = 0; pass < 2; ++pass) {
       for (const Triple& t : triples_) {
-        const Route& want =
-            baseline_.route(t.partition, t.requester, t.holder, live_by_dc_);
-        const Route& got =
-            router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-        ASSERT_EQ(got.stages.size(), want.stages.size())
-            << step << " pass " << pass << " partition "
-            << t.partition.value();
-        for (std::size_t i = 0; i < want.stages.size(); ++i) {
-          EXPECT_EQ(got.stages[i].dc, want.stages[i].dc) << step;
-          EXPECT_EQ(got.stages[i].relay, want.stages[i].relay) << step;
-          EXPECT_EQ(got.stages[i].hops_at_entry, want.stages[i].hops_at_entry)
-              << step;
-          EXPECT_EQ(got.stages[i].latency_ms, want.stages[i].latency_ms)
-              << step;
-        }
-        EXPECT_EQ(got.holder, want.holder) << step;
-        EXPECT_EQ(got.total_hops, want.total_hops) << step;
-        EXPECT_EQ(got.total_latency_ms, want.total_latency_ms) << step;
+        expect_same(
+            router_.route(t.partition, t.requester, t.holder, live_by_dc_),
+            expected(t),
+            std::string(step) + " pass " + std::to_string(pass) +
+                " partition " + std::to_string(t.partition.value()));
       }
     }
   }
 
   /// A transit relay of the first triple with more than one stage: killing
   /// it forces the cached relay to change.
-  ServerId transit_relay() {
+  ServerId transit_relay() const {
     for (const Triple& t : triples_) {
-      const Route& route =
-          baseline_.route(t.partition, t.requester, t.holder, live_by_dc_);
-      if (route.stages.size() > 1) return route.stages.front().relay;
+      const Route want = expected(t);
+      if (want.stages.size() > 1) return want.stages.front().relay;
     }
     ADD_FAILURE() << "no multi-stage route";
     return ServerId::invalid();
@@ -241,85 +257,83 @@ class RelayCacheTest : public RouterTest {
   void kill(ServerId server) {
     auto& live = live_by_dc_[world_.topology.server(server).datacenter.value()];
     live.erase(std::find(live.begin(), live.end(), server));
-    router_.invalidate_routes();
-    baseline_.invalidate_routes();
+    router_.invalidate_relays();
   }
 
   void revive(ServerId server) {
     auto& live = live_by_dc_[world_.topology.server(server).datacenter.value()];
     live.insert(std::lower_bound(live.begin(), live.end(), server), server);
-    router_.invalidate_routes();
-    baseline_.invalidate_routes();
+    router_.invalidate_relays();
   }
 
-  Router baseline_;
   std::vector<Triple> triples_;
 };
 
-TEST_F(RelayCacheTest, MatchesMemoOffAcrossInvalidations) {
-  expect_matches_baseline("cold start");
-
-  for (std::uint32_t p = 0; p < 16; ++p) {
-    router_.invalidate_routes_for(PartitionId{p});
-  }
-  expect_matches_baseline("invalidate_routes_for");
+TEST_F(RelayCacheTest, MatchesRelayForAcrossInvalidations) {
+  expect_matches_relay_for("cold start");
 
   const ServerId victim = transit_relay();
   kill(victim);
-  expect_matches_baseline("kill");
+  expect_matches_relay_for("kill");
 
   revive(victim);
-  expect_matches_baseline("revive");
+  expect_matches_relay_for("revive");
 
-  // A new primary without invalidate_routes_for: the holder check alone
-  // must stop the stored routes from being served.
+  // A new primary for every partition: relays do not depend on placement.
   const auto& servers = world_.topology.servers();
   for (Triple& t : triples_) {
     t.holder = servers[(t.holder.value() + 11) % servers.size()].id;
   }
-  expect_matches_baseline("holder moved");
+  expect_matches_relay_for("holder moved");
+
+  // A network rebuild swaps the path table under the router (the engine
+  // reassigns its ShortestPaths in place); cached relays stay valid.
+  bool rebuilt = false;
+  for (std::size_t drop = 0; drop < world_.links.size() && !rebuilt; ++drop) {
+    std::vector<Link> links = world_.links;
+    links.erase(links.begin() + static_cast<std::ptrdiff_t>(drop));
+    DcGraph graph(world_.topology.datacenter_count(), links);
+    if (!graph.connected()) continue;
+    graph_ = std::move(graph);
+    paths_ = ShortestPaths(graph_);
+    rebuilt = true;
+  }
+  ASSERT_TRUE(rebuilt);
+  expect_matches_relay_for("network rebuild");
 
   RouterTestPeer::set_stamp(router_, std::numeric_limits<std::uint32_t>::max());
-  kill(victim);  // the invalidation wraps the memo router's stamp
-  expect_matches_baseline("stamp wrap");
+  kill(victim);  // the invalidation wraps the stamp
+  expect_matches_relay_for("stamp wrap");
 }
 
 TEST_F(RelayCacheTest, GlobalStampWrapClearsRowsStampedBeforeIt) {
   // Rows filled at stamp 1, then ~2^32 invalidations that never touch
   // them: after the wrap the stamp is 1 again and the rows must not count
-  // as current.
-  expect_matches_baseline("cold start");
+  // as current, or the killed relay would still be served.
+  expect_matches_relay_for("cold start");
+  const ServerId victim = transit_relay();
   RouterTestPeer::set_stamp(router_, std::numeric_limits<std::uint32_t>::max());
-  kill(transit_relay());
-  (void)router_.take_counts();
-  expect_matches_baseline("after wrap");
-  const RouteCounts counts = router_.take_counts();
-  EXPECT_EQ(counts.memo_misses, triples_.size());
-  EXPECT_EQ(counts.memo_hits, 2 * triples_.size());
-}
-
-TEST_F(RelayCacheTest, PartitionStampWrapClearsThatPartitionsMemo) {
-  const Triple t = triples_.front();
-  (void)router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-  router_.invalidate_routes_for(t.partition);  // partition stamp 0 -> 1
-  (void)router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-  RouterTestPeer::set_partition_stamp(
-      router_, t.partition, std::numeric_limits<std::uint32_t>::max());
-  router_.invalidate_routes_for(t.partition);  // wraps back to 1
-  (void)router_.take_counts();
-  (void)router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-  EXPECT_EQ(router_.take_counts().memo_misses, 1u);
-  expect_matches_baseline("after partition wrap");
+  kill(victim);
+  expect_matches_relay_for("after wrap");
+  for (const Triple& t : triples_) {
+    for (const RouteStage& stage :
+         router_.route(t.partition, t.requester, t.holder, live_by_dc_)
+             .stages) {
+      EXPECT_NE(stage.relay, victim);
+    }
+  }
 }
 
 TEST_F(RelayCacheTest, PlacementInvalidationKeepsRelaysAndLivenessDropsThem) {
-  const Triple t = triples_.front();
+  Triple t = triples_.front();
   DatacenterId transit = DatacenterId::invalid();
   for (const Triple& candidate : triples_) {
+    if (candidate.partition != t.partition) continue;
     const Route& route = router_.route(candidate.partition,
                                        candidate.requester, candidate.holder,
                                        live_by_dc_);
-    if (candidate.partition == t.partition && route.stages.size() > 1) {
+    if (route.stages.size() > 1) {
+      t = candidate;
       transit = route.stages.front().dc;
       break;
     }
@@ -328,46 +342,27 @@ TEST_F(RelayCacheTest, PlacementInvalidationKeepsRelaysAndLivenessDropsThem) {
   const ServerId cached =
       RouterTestPeer::cached_relay(router_, t.partition, transit);
   ASSERT_TRUE(cached.valid());
+  EXPECT_EQ(cached, Router::relay_for(t.partition, transit,
+                                      live_by_dc_[transit.value()]));
 
-  router_.invalidate_routes_for(t.partition);
+  // A placement change (the primary moves into the transit datacenter)
+  // leaves the cached relay in place.
+  const ServerId new_holder = world_.topology.servers_in(transit).back();
+  (void)router_.route(t.partition, t.requester, new_holder, live_by_dc_);
   EXPECT_EQ(RouterTestPeer::cached_relay(router_, t.partition, transit),
             cached);
 
-  router_.invalidate_routes();
+  router_.invalidate_relays();
   EXPECT_FALSE(
       RouterTestPeer::cached_relay(router_, t.partition, transit).valid());
 }
 
-TEST_F(RelayCacheTest, OnlyRoutesAskedForTwiceAreStored) {
-  const PartitionId p = triples_.front().partition;
-  for (const Triple& t : triples_) {
-    if (t.partition != p) continue;
-    (void)router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-  }
-  EXPECT_EQ(RouterTestPeer::stored_routes(router_, p), 0u);
-  const Triple& t = triples_.front();
-  for (int ask = 0; ask < 3; ++ask) {
-    (void)router_.route(t.partition, t.requester, t.holder, live_by_dc_);
-    EXPECT_EQ(RouterTestPeer::stored_routes(router_, p), 1u);
-  }
-}
-
-TEST_F(RelayCacheTest, MemoOffCachesNoRelay) {
-  for (const Triple& t : triples_) {
-    (void)baseline_.route(t.partition, t.requester, t.holder, live_by_dc_);
-    for (const DatacenterId dc : world_.dc) {
-      EXPECT_FALSE(
-          RouterTestPeer::cached_relay(baseline_, t.partition, dc).valid());
-    }
-  }
-}
-
-TEST_F(RelayCacheTest, ConcurrentShardsMatchMemoOff) {
-  // The propagate-shard contract: memo pre-sized, each shard routes only
-  // its own partitions with its own context, and shards fill their rows'
-  // memo entries, stored routes and relays at once. Run under TSan in CI.
+TEST_F(RelayCacheTest, ConcurrentShardsMatchRelayFor) {
+  // The propagate-shard contract: relay cache pre-sized, each shard
+  // routes only its own partitions with its own context, and shards fill
+  // their rows' relays at once. Run under TSan in CI.
   constexpr std::uint32_t kShards = 4;
-  router_.reserve_memo(16);
+  router_.reserve_relays(16);
   std::vector<Route> got(triples_.size());
   std::vector<Router::RouteCtx> ctxs(kShards);
   std::vector<std::thread> threads;
@@ -386,18 +381,10 @@ TEST_F(RelayCacheTest, ConcurrentShardsMatchMemoOff) {
   for (std::thread& thread : threads) thread.join();
 
   for (Router::RouteCtx& ctx : ctxs) router_.flush_counts(ctx);
-  const RouteCounts counts = router_.take_counts();
-  EXPECT_EQ(counts.routes, 3 * triples_.size());
-  EXPECT_EQ(counts.memo_misses, triples_.size());
+  EXPECT_EQ(router_.take_counts().routes, 3 * triples_.size());
   for (std::size_t i = 0; i < triples_.size(); ++i) {
-    const Triple& t = triples_[i];
-    const Route& want =
-        baseline_.route(t.partition, t.requester, t.holder, live_by_dc_);
-    ASSERT_EQ(got[i].stages.size(), want.stages.size());
-    for (std::size_t k = 0; k < want.stages.size(); ++k) {
-      EXPECT_EQ(got[i].stages[k].relay, want.stages[k].relay);
-    }
-    EXPECT_EQ(got[i].total_latency_ms, want.total_latency_ms);
+    expect_same(got[i], expected(triples_[i]),
+                "triple " + std::to_string(i));
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "topology/world.h"
 
@@ -295,6 +297,90 @@ TEST(SampleBatch, RotationWrapsModuloPartitions) {
     if (flow.partition == PartitionId{2}) rotated += flow.queries;
   }
   EXPECT_GT(rotated / total, 0.9);
+}
+
+/// The dense-plane aggregation sample_batch replaced, kept as its
+/// reference: the same draws counted into a partition x requester plane,
+/// then emitted partition-major with requesters ascending.
+QueryBatch dense_reference(double mean_total, const ZipfSampler& partitions,
+                           std::span<const double> requester_weights,
+                           std::uint32_t partition_rotation, Rng& rng) {
+  const std::uint64_t total = rng.poisson(mean_total);
+  const DiscreteSampler requesters(requester_weights);
+  const std::size_t n_partitions = partitions.size();
+  const std::size_t n_requesters = requester_weights.size();
+  std::vector<double> counts(n_partitions * n_requesters, 0.0);
+  for (std::uint64_t q = 0; q < total; ++q) {
+    const std::size_t rank = partitions.sample(rng);
+    const std::size_t partition = (rank + partition_rotation) % n_partitions;
+    const std::size_t requester = requesters.sample(rng);
+    counts[partition * n_requesters + requester] += 1.0;
+  }
+  QueryBatch batch;
+  for (std::size_t p = 0; p < n_partitions; ++p) {
+    for (std::size_t r = 0; r < n_requesters; ++r) {
+      const double c = counts[p * n_requesters + r];
+      if (c > 0.0) {
+        batch.push_back(QueryFlow{PartitionId{static_cast<std::uint32_t>(p)},
+                                  DatacenterId{static_cast<std::uint32_t>(r)},
+                                  c});
+      }
+    }
+  }
+  return batch;
+}
+
+/// sample_batch and the dense reference over ten epochs from one seed:
+/// identical flows in identical order, and identical RNG state after.
+void expect_matches_dense(std::uint32_t n_partitions, double mean,
+                          const std::vector<double>& weights,
+                          std::uint32_t rotation) {
+  const ZipfSampler zipf(n_partitions, 0.8);
+  Rng sparse_rng(77);
+  Rng dense_rng(77);
+  std::size_t flows = 0;
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    const QueryBatch got =
+        sample_batch(mean, zipf, weights, rotation, sparse_rng);
+    const QueryBatch want =
+        dense_reference(mean, zipf, weights, rotation, dense_rng);
+    ASSERT_EQ(got.size(), want.size()) << "epoch " << epoch;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].partition, want[i].partition) << "flow " << i;
+      EXPECT_EQ(got[i].requester, want[i].requester) << "flow " << i;
+      EXPECT_EQ(got[i].queries, want[i].queries) << "flow " << i;
+    }
+    flows += got.size();
+  }
+  EXPECT_GT(flows, 0u);
+  EXPECT_EQ(sparse_rng.next(), dense_rng.next());
+}
+
+TEST(SampleBatch, PaperShapeMatchesTheDensePlane) {
+  expect_matches_dense(64, 300.0, std::vector<double>(10, 1.0), 0);
+}
+
+TEST(SampleBatch, HundredByHundredMatchesTheDensePlane) {
+  expect_matches_dense(100, 3000.0, std::vector<double>(100, 1.0), 0);
+}
+
+TEST(SampleBatch, RotationMatchesTheDensePlane) {
+  expect_matches_dense(64, 300.0, std::vector<double>(10, 1.0), 37);
+  expect_matches_dense(16, 300.0, std::vector<double>(10, 1.0), 16 + 5);
+}
+
+TEST(SampleBatch, FlashWeightsMatchTheDensePlane) {
+  // 80% of queries from three datacenters, the paper's flash stage.
+  std::vector<double> weights(10, 0.2 / 7.0);
+  for (const std::size_t hot : {7u, 8u, 9u}) weights[hot] = 0.8 / 3.0;
+  expect_matches_dense(64, 300.0, weights, 0);
+}
+
+TEST(SampleBatch, EmptyDrawGivesAnEmptyBatch) {
+  const ZipfSampler zipf(64, 0.8);
+  const std::vector<double> weights(10, 1.0);
+  Rng rng(5);
+  EXPECT_TRUE(sample_batch(0.0, zipf, weights, 0, rng).empty());
 }
 
 }  // namespace
